@@ -13,8 +13,6 @@
 ///   --scale <f>     fraction of the original dataset size (per-bench default)
 ///   --seed <n>      experiment seed (default 2019, the paper's year)
 ///   --threads <n>   OpenMP threads for _mt drivers (default: hardware)
-///   --sampler <e>   RRR engine, seq|fused (exported to RIPPLES_SAMPLER so
-///                   every driver run picks it up; byte-identical output)
 ///   --snap-dir <d>  directory with genuine SNAP .txt files (optional)
 ///   --csv <path>    also write the table as CSV
 ///   --json-report <path>  enable metrics and write the structured run
@@ -85,17 +83,6 @@ struct BenchConfig {
     // Checkpoint flags travel via the environment: ImmOptions defaults from
     // RIPPLES_CHECKPOINT_*, so exporting here covers every driver the bench
     // constructs without threading options through each table loop.
-    // The sampler engine travels the same way (ImmOptions defaults from
-    // RIPPLES_SAMPLER), so --sampler fused applies to every driver a bench
-    // constructs.
-    if (auto sampler = cli.value_of("sampler")) {
-      if (*sampler != "seq" && *sampler != "fused") {
-        std::fprintf(stderr, "unknown --sampler '%s' (seq|fused)\n",
-                     sampler->c_str());
-        std::exit(2);
-      }
-      setenv("RIPPLES_SAMPLER", sampler->c_str(), 1);
-    }
     if (auto dir = cli.value_of("checkpoint-dir"))
       setenv("RIPPLES_CHECKPOINT_DIR", dir->c_str(), 1);
     if (auto every = cli.value_of("checkpoint-every"))

@@ -10,7 +10,6 @@
 #   scripts/check.sh --no-soak   # skip the fault-injection soak stage
 #   scripts/check.sh --no-sparse # skip the sparse selection-exchange leg
 #   scripts/check.sh --no-checkpoint # skip the kill-resume soak leg
-#   scripts/check.sh --no-fused  # skip the fused sampling-engine leg
 #   scripts/check.sh --no-observability # skip the trace/analyze leg
 #   scripts/check.sh --no-membudget # skip the memory-budget leg
 #   scripts/check.sh --no-stealing # skip the work-stealing leg
@@ -22,12 +21,12 @@
 # gets; selection_exchange_test also rides in the TSan stage because the
 # sparse exchange adds new cross-rank collectives worth race-checking.
 #
-# The fused leg reruns the sampling, driver-matrix, checkpoint, and fault
-# suites with RIPPLES_SAMPLER=fused, so the env-selected fused engine sees
-# the same coverage the scalar default gets; every byte-identity assertion
-# in those suites then compares fused output against the same expectations.
+# The repeat leg reruns the whole tier-1 suite until it fails, up to five
+# times: tier-1 must pass every time on a multi-core machine, and a
+# schedule-dependent result (a floating-point merge in thread arrival order,
+# say) shows up as an intermittent failure that one pass can miss.
 #
-# The observability leg runs a 4-rank fused+sparse imm_cli with --trace
+# The observability leg runs a 4-rank sparse imm_cli with --trace
 # --profile-mem --json-report and pushes the artifacts through the full
 # analysis pipeline: validate_trace.py with flow-pairing and counter-track
 # enforcement, then analyze_trace.py (critical-path decomposition must sum
@@ -45,7 +44,7 @@
 # or a diagnosed MemoryBudgetExceeded (dist), never a raw bad_alloc.
 #
 # The stealing leg (DESIGN.md §13) runs `ctest -L stealing`, then drives the
-# fig7 pathology end to end: a 4-rank fused+sparse run with --steal-skew
+# fig7 pathology end to end: a 4-rank sparse run with --steal-skew
 # homes every draw on rank 0, so the per-round compute imbalance factor is
 # pathological (hundreds).  Three baseline and three steal-on runs are
 # traced; the steal-on traces must pass analyze_trace.py --max-imbalance
@@ -55,7 +54,7 @@
 # to its no-steal baseline — stealing moves work, never results.
 #
 # The integrity leg (DESIGN.md §14) runs `ctest -L integrity`, then drives
-# the corruption machinery end to end on a 4-rank fused+sparse+steal run:
+# the corruption machinery end to end on a 4-rank sparse+steal run:
 # a transient bit-flip is injected at EVERY communication site (the sweep
 # walks site indices, rotating the victim rank, until the plan stops firing
 # on any rank) and each run must detect the flip, retry it away, and finish
@@ -105,7 +104,6 @@ run_ubsan=1
 run_soak=1
 run_sparse=1
 run_checkpoint=1
-run_fused=1
 run_observability=1
 run_membudget=1
 run_stealing=1
@@ -118,12 +116,11 @@ for arg in "$@"; do
     --no-soak) run_soak=0 ;;
     --no-sparse) run_sparse=0 ;;
     --no-checkpoint) run_checkpoint=0 ;;
-    --no-fused) run_fused=0 ;;
     --no-observability) run_observability=0 ;;
     --no-membudget) run_membudget=0 ;;
     --no-stealing) run_stealing=0 ;;
     --no-integrity) run_integrity=0 ;;
-    *) echo "unknown option: $arg (--no-tsan | --no-asan | --no-ubsan | --no-soak | --no-sparse | --no-checkpoint | --no-fused | --no-observability | --no-membudget | --no-stealing | --no-integrity)" >&2; exit 2 ;;
+    *) echo "unknown option: $arg (--no-tsan | --no-asan | --no-ubsan | --no-soak | --no-sparse | --no-checkpoint | --no-observability | --no-membudget | --no-stealing | --no-integrity)" >&2; exit 2 ;;
   esac
 done
 
@@ -134,6 +131,9 @@ cmake --build build -j "$jobs"
 echo "== tier-1: ctest =="
 ctest --test-dir build --output-on-failure -j "$jobs"
 
+echo "== repeat: tier-1 ctest until failure, up to 5 times =="
+ctest --test-dir build --output-on-failure -j "$jobs" --repeat until-fail:5
+
 if [[ "$run_sparse" == 1 ]]; then
   echo "== sparse: ctest -L selection + IMM drivers under RIPPLES_SELECTION_EXCHANGE=sparse =="
   RIPPLES_SELECTION_EXCHANGE=sparse \
@@ -141,15 +141,6 @@ if [[ "$run_sparse" == 1 ]]; then
   RIPPLES_SELECTION_EXCHANGE=sparse ./build/tests/imm_test
   RIPPLES_SELECTION_EXCHANGE=sparse ./build/tests/driver_matrix_test
   RIPPLES_SELECTION_EXCHANGE=sparse ./build/tests/fault_test
-fi
-
-if [[ "$run_fused" == 1 ]]; then
-  echo "== fused: sampling + driver + checkpoint suites under RIPPLES_SAMPLER=fused =="
-  RIPPLES_SAMPLER=fused ./build/tests/sampler_test
-  RIPPLES_SAMPLER=fused ./build/tests/imm_test
-  RIPPLES_SAMPLER=fused ./build/tests/driver_matrix_test
-  RIPPLES_SAMPLER=fused ./build/tests/checkpoint_test
-  RIPPLES_SAMPLER=fused ./build/tests/fault_test
 fi
 
 if [[ "$run_soak" == 1 ]]; then
@@ -202,7 +193,7 @@ if [[ "$run_observability" == 1 ]]; then
   echo "== observability: 4-rank trace + memory profile through the analysis pipeline =="
   # No EXIT trap here — the checkpoint leg owns it; clean up explicitly.
   obs_work=$(mktemp -d)
-  ./build/examples/imm_cli --driver dist --ranks 4 --sampler fused \
+  ./build/examples/imm_cli --driver dist --ranks 4 \
     --selection-exchange sparse --dataset cit-HepTh --scale 0.1 \
     --epsilon 0.5 -k 16 --seed 2019 \
     --trace "$obs_work/trace.json" --profile-mem \
@@ -343,14 +334,14 @@ if [[ "$run_stealing" == 1 ]]; then
   echo "== stealing: ctest -L stealing =="
   ctest --test-dir build -L stealing --output-on-failure -j "$jobs"
 
-  echo "== stealing: fig7 skewed-partition imbalance gate (4-rank fused+sparse, min-of-3) =="
+  echo "== stealing: fig7 skewed-partition imbalance gate (4-rank sparse, min-of-3) =="
   # No EXIT trap here — the checkpoint leg owns it; clean up explicitly.
   steal_work=$(mktemp -d)
   steal_cli=./build/examples/imm_cli
   # --steal-skew homes every stream on rank 0 — the manufactured fig7
   # pathology.  The baseline keeps stealing off (factor: hundreds); the
   # steal-on runs must close the tail AND stay byte-identical.
-  steal_args=(--driver dist --ranks 4 --sampler fused
+  steal_args=(--driver dist --ranks 4
               --selection-exchange sparse --dataset cit-HepTh --scale 0.1
               --epsilon 0.5 -k 16 --seed 2019 --steal-skew)
   for i in 1 2 3; do
@@ -420,11 +411,11 @@ if [[ "$run_integrity" == 1 ]]; then
   echo "== integrity: ctest -L integrity =="
   ctest --test-dir build -L integrity --output-on-failure -j "$jobs"
 
-  echo "== integrity: corruption sweep over every communication site (4-rank fused+sparse+steal) =="
+  echo "== integrity: corruption sweep over every communication site (4-rank sparse+steal) =="
   # No EXIT trap here — the checkpoint leg owns it; clean up explicitly.
   int_work=$(mktemp -d)
   int_cli=./build/examples/imm_cli
-  int_args=(--driver dist --ranks 4 --sampler fused --selection-exchange sparse
+  int_args=(--driver dist --ranks 4 --selection-exchange sparse
             --steal on --dataset cit-HepTh --scale 0.1 --epsilon 0.5 -k 16
             --seed 2019)
   # References: the unverified run proves the checksum layer changes nothing
@@ -615,10 +606,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # background resource sampler against tracker updates and ledger appends.
   ./build-tsan/tests/trace_test
   ./build-tsan/tests/metrics_test
-  # The fused engine shares only pre-grown collection slots between worker
-  # threads; run the sampler suite in both engines to race-check that claim.
+  # The sampling kernel shares only pre-grown collection slots between
+  # worker threads (both engines, every chunk schedule); the sampler suite
+  # race-checks that claim.
   ./build-tsan/tests/sampler_test
-  RIPPLES_SAMPLER=fused ./build-tsan/tests/sampler_test
   # The memory governor's tracker and oom-fault registry are shared across
   # rank threads; the budget suite races try_reserve against the ladder.
   ./build-tsan/tests/memory_budget_test
@@ -646,7 +637,6 @@ if [[ "$run_asan" == 1 ]]; then
   # The fused kernel's counting-sort emission indexes scratch by lane mask
   # words; ASan checks those stores stay inside the pre-sized buffers.
   ./build-asan/tests/sampler_test
-  RIPPLES_SAMPLER=fused ./build-asan/tests/sampler_test
   # The compressed store's varint encoder/decoder and the ladder's window
   # hand-off are the newest pointer arithmetic in the repo; leak/overflow
   # check them under both the plain and forced-compression paths.

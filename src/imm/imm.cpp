@@ -7,7 +7,6 @@
 
 #include "imm/imm_core.hpp"
 #include "imm/sampler.hpp"
-#include "imm/sampler_fused.hpp"
 #include "support/assert.hpp"
 #include "support/memory.hpp"
 #include "support/trace.hpp"
@@ -19,13 +18,6 @@ SelectionExchange selection_exchange_from_env() {
   if (value != nullptr && std::strcmp(value, "sparse") == 0)
     return SelectionExchange::Sparse;
   return SelectionExchange::Dense;
-}
-
-SamplerEngine sampler_engine_from_env() {
-  const char *value = std::getenv("RIPPLES_SAMPLER");
-  if (value != nullptr && std::strcmp(value, "fused") == 0)
-    return SamplerEngine::Fused;
-  return SamplerEngine::Sequential;
 }
 
 StealMode steal_mode_from_env() {
@@ -159,7 +151,7 @@ make_governed_store(const ImmOptions &options, const detail::ScopedBudget &budge
   policy.consumer = consumer;
   // Scrub repair replays stored windows from their counter coordinates;
   // the leapfrog engines are stateful, so scrubbing stays off there (the
-  // stealing/fused silent-no-op rule).
+  // stealing silent-no-op rule).
   policy.scrub = options.rng_mode == RngMode::CounterSequence
                      ? options.scrub_rrr
                      : ScrubMode::Off;
@@ -167,29 +159,15 @@ make_governed_store(const ImmOptions &options, const detail::ScopedBudget &budge
 }
 
 /// One governed admission batch: the RRR sets at global indices
-/// [first, first + count), drawn from their per-sample counter streams —
-/// byte-identical to the ungoverned samplers' output for the same indices.
-/// A governed fused window pre-reserves its per-thread lane structures and
-/// falls back to the scalar kernel (same bytes out) when refused — the lane
-/// arrays are real memory the budget must see (DESIGN.md §12).
+/// [first, first + count), byte-identical to the ungoverned samplers'
+/// output for the same indices (sample_counter_governed's fused-lane rung).
 void sample_governed_window(const CsrGraph &graph, const ImmOptions &options,
                             unsigned num_threads, RRRCollection &scratch,
                             std::uint64_t first, std::uint64_t count) {
   std::vector<std::uint64_t> indices(count);
   std::iota(indices.begin(), indices.end(), first);
-  if (options.sampler == SamplerEngine::Fused) {
-    const std::size_t lane_bytes =
-        FusedSampler::lane_bytes(graph) * num_threads;
-    if (MemoryTracker::instance().try_reserve(lane_bytes,
-                                              "sampler.fused_lanes")) {
-      sample_counter_indices_fused(graph, options.model, options.seed, indices,
-                                   num_threads, scratch);
-      MemoryTracker::instance().release(lane_bytes);
-      return;
-    }
-  }
-  sample_counter_indices(graph, options.model, options.seed, indices,
-                         num_threads, scratch);
+  sample_counter_governed(graph, options.model, options.seed, indices,
+                          num_threads, 0, scratch);
 }
 
 } // namespace
@@ -218,12 +196,7 @@ ImmResult imm_sequential(const CsrGraph &graph, const ImmOptions &options) {
           std::max(result.total_associations, store->total_associations());
       return;
     }
-    if (options.sampler == SamplerEngine::Fused)
-      sample_sequential_fused(graph, options.model, target, options.seed,
-                              collection);
-    else
-      sample_sequential(graph, options.model, target, options.seed,
-                        collection);
+    sample_sequential(graph, options.model, target, options.seed, collection);
     result.rrr_peak_bytes =
         std::max(result.rrr_peak_bytes, collection.footprint_bytes());
     result.total_associations =
@@ -265,9 +238,9 @@ ImmResult imm_baseline_hypergraph(const CsrGraph &graph,
   HypergraphCollection collection(graph.num_vertices());
 
   // The baseline reproduces the Table 2 reference implementation, so it
-  // keeps its scalar kernel regardless of options.sampler; the fused engine
-  // is an optimization of the paper's own storage path, not the baseline's.
-  // It also ignores the memory-budget governor for the same reason: its
+  // keeps the scalar RRRGenerator on both models; the fused IC kernel is an
+  // optimization of the paper's own storage path, not the baseline's.  It
+  // also ignores the memory-budget governor for the same reason: its
   // dual-direction storage is the memory-hungry reference the governed
   // drivers are measured against (DESIGN.md §12).
   auto extend_to = [&](std::uint64_t target) {
@@ -326,12 +299,8 @@ ImmResult imm_multithreaded(const CsrGraph &graph, const ImmOptions &options) {
           std::max(result.total_associations, store->total_associations());
       return;
     }
-    if (options.sampler == SamplerEngine::Fused)
-      sample_multithreaded_fused(graph, options.model, target, options.seed,
-                                 options.num_threads, collection);
-    else
-      sample_multithreaded(graph, options.model, target, options.seed,
-                           options.num_threads, collection);
+    sample_multithreaded(graph, options.model, target, options.seed,
+                         options.num_threads, collection);
     result.rrr_peak_bytes =
         std::max(result.rrr_peak_bytes, collection.footprint_bytes());
     result.total_associations =

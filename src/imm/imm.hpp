@@ -60,22 +60,6 @@ enum class SelectionExchange {
 /// call sites.
 [[nodiscard]] SelectionExchange selection_exchange_from_env();
 
-/// RRR-generation engine (DESIGN.md §10).  Both engines draw sample i from
-/// the Philox stream (seed, i) and produce byte-identical collections; Fused
-/// batches up to 64 samples per traversal pass over a shared per-vertex
-/// lane-mask array with bulk counter-block generation, trading per-sample
-/// control flow for word-level parallelism.
-enum class SamplerEngine {
-  Sequential,
-  Fused,
-};
-
-/// Reads RIPPLES_SAMPLER ("fused" selects Fused; anything else — including
-/// unset — selects Sequential), the same idiom as
-/// selection_exchange_from_env so check.sh can rerun the whole suite under
-/// the fused engine without touching call sites.
-[[nodiscard]] SamplerEngine sampler_engine_from_env();
-
 /// Work-stealing scope of the sampling phase (DESIGN.md §13).  Because the
 /// counter-mode RNG derives each draw from its global stream index, moving a
 /// chunk between executors cannot change the emitted bytes — stealing is a
@@ -96,7 +80,7 @@ enum class StealMode {
 };
 
 /// Reads RIPPLES_STEAL ("on", "intra", "inter"; anything else — including
-/// unset — selects Off), same idiom as sampler_engine_from_env.
+/// unset — selects Off), same idiom as selection_exchange_from_env.
 [[nodiscard]] StealMode steal_mode_from_env();
 
 [[nodiscard]] const char *to_string(StealMode mode);
@@ -121,12 +105,6 @@ struct ImmOptions {
   /// mpsim ranks (imm_distributed only).
   int num_ranks = 1;
   RngMode rng_mode = RngMode::CounterSequence;
-  /// RRR-generation engine; byte-identical results either way (DESIGN.md
-  /// §10), so this is a pure performance knob like num_threads.  Defaults
-  /// from RIPPLES_SAMPLER.  Fused applies to the counter-stream engines
-  /// (sequential, multithreaded, distributed); the LeapfrogLcg rng mode and
-  /// the partitioned driver keep their scalar kernels (documented there).
-  SamplerEngine sampler = sampler_engine_from_env();
 
   // Fault tolerance (the mpsim drivers; see DESIGN.md failure model).
   /// Survive rank failures: survivors shrink the communicator, regenerate
@@ -206,7 +184,7 @@ struct ImmOptions {
   /// RRR-store scrubbing (`--scrub-rrr off|on|paranoid`); defaults from
   /// RIPPLES_SCRUB_RRR.  Applies to the budget-governed store's compressed
   /// arena in counter rng mode (replayable coordinates); elsewhere it is a
-  /// silent no-op, the stealing/fused-engine precedent.
+  /// silent no-op, the stealing precedent.
   ScrubMode scrub_rrr = scrub_mode_from_env();
 };
 

@@ -45,7 +45,6 @@
 #include "imm/imm_checkpoint.hpp"
 #include "imm/imm_core.hpp"
 #include "imm/sampler.hpp"
-#include "imm/sampler_fused.hpp"
 #include "imm/select.hpp"
 #include "imm/steal.hpp"
 #include "mpsim/communicator.hpp"
@@ -76,16 +75,11 @@ metrics::Counter &stolen_sets_counter() {
   return c;
 }
 
-/// Counter-mode generation at explicit global indices, honoring the
-/// engine knob: the fused kernel batches 64 per-sample streams per
-/// traversal pass and is byte-identical to the scalar path (DESIGN.md
-/// §10), so both the extend and heal paths can dispatch through here.
-/// The LeapfrogLcg mode is inherently sequential per stream (one shared
-/// LCG walked draw by draw) and keeps the scalar kernel.
-/// \p governed additionally routes the fused engine's per-thread lane
-/// structures through the budget (consumer "sampler.fused_lanes"),
-/// falling back to the byte-identical scalar kernel when refused —
-/// DESIGN.md §12's fused-lane rung.
+/// Counter-mode generation at explicit global indices, shared by the
+/// extend and heal paths.  The LeapfrogLcg mode is inherently sequential
+/// per stream (one shared LCG walked draw by draw) and never comes here.
+/// \p governed routes the batch through sample_counter_governed, DESIGN.md
+/// §12's fused-lane rung.
 std::uint64_t generate_counter_indices(const CsrGraph &graph,
                                        const ImmOptions &options,
                                        std::span<const std::uint64_t> indices,
@@ -93,42 +87,20 @@ std::uint64_t generate_counter_indices(const CsrGraph &graph,
                                        bool governed = false) {
   // Intra-rank stealing (DESIGN.md §13): route multi-threaded generation
   // through the chunked per-thread queues.  Byte-identical to the unchunked
-  // kernels — every position writes its pre-grown slot — so the dispatch is
-  // placement-only, exactly like the fused/scalar engine choice.
+  // kernel — every position writes its pre-grown slot — so the dispatch is
+  // placement-only.
   const bool intra =
       (options.steal == StealMode::Intra || options.steal == StealMode::On) &&
       options.num_threads > 1;
-  if (options.sampler == SamplerEngine::Fused) {
-    if (!governed) {
-      if (intra)
-        return detail::sample_counter_chunked(
-            graph, options.model, options.seed, indices, options.num_threads,
-            options.steal_chunk, /*fused=*/true, collection);
-      return sample_counter_indices_fused(graph, options.model, options.seed,
-                                          indices, options.num_threads,
-                                          collection);
-    }
-    const std::size_t lane_bytes =
-        FusedSampler::lane_bytes(graph) * options.num_threads;
-    if (MemoryTracker::instance().try_reserve(lane_bytes,
-                                              "sampler.fused_lanes")) {
-      const std::uint64_t generated =
-          intra ? detail::sample_counter_chunked(
-                      graph, options.model, options.seed, indices,
-                      options.num_threads, options.steal_chunk, /*fused=*/true,
-                      collection)
-                : sample_counter_indices_fused(graph, options.model,
-                                               options.seed, indices,
-                                               options.num_threads, collection);
-      MemoryTracker::instance().release(lane_bytes);
-      return generated;
-    }
-  }
+  if (governed)
+    return sample_counter_governed(graph, options.model, options.seed,
+                                   indices, options.num_threads,
+                                   intra ? options.steal_chunk : 0,
+                                   collection);
   if (intra)
     return detail::sample_counter_chunked(graph, options.model, options.seed,
                                           indices, options.num_threads,
-                                          options.steal_chunk, /*fused=*/false,
-                                          collection);
+                                          options.steal_chunk, collection);
   return sample_counter_indices(graph, options.model, options.seed, indices,
                                 options.num_threads, collection);
 }
@@ -252,10 +224,10 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // Work-stealing placement (DESIGN.md §13).  Every knob requires the
     // index-addressable counter streams — under LeapfrogLcg the one global
     // LCG is walked draw by draw per stream, so stealing and skew are
-    // silent no-ops there (stealing_test pins this, the fused-engine
-    // precedent).  Inter stealing and skew additionally require the
-    // ungoverned path: budget admission windows are rank-local, so a
-    // migrated chunk would be charged to the wrong rank's ladder.
+    // silent no-ops there (stealing_test pins this).  Inter stealing and
+    // skew additionally require the ungoverned path: budget admission
+    // windows are rank-local, so a migrated chunk would be charged to the
+    // wrong rank's ladder.
     const bool counter_mode = options.rng_mode == RngMode::CounterSequence;
     const bool steal_inter =
         counter_mode && !store && p > 1 &&

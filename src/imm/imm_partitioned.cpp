@@ -64,13 +64,12 @@ ImmResult imm_distributed_partitioned(const CsrGraph &graph,
   RIPPLES_ASSERT_MSG(options.rng_mode == RngMode::CounterSequence,
                      "the partitioned driver defines randomness per "
                      "(sample, vertex); leap-frog streams do not apply");
-  // options.sampler is likewise ignored: the fused engine (DESIGN.md §10)
-  // batches 64 whole *samples* per traversal pass, but here no rank ever
-  // traverses a whole sample — each level of every sample is a distributed
-  // exchange, and edge draws come from per-(sample, vertex) streams rather
-  // than the per-sample streams the fused lane layout assumes.  The driver
-  // stays on its scalar distributed-BFS kernel in both modes, which the
-  // driver_matrix fused axis verifies.
+  // The fused IC kernel (DESIGN.md §10) does not apply either: it batches
+  // 64 whole *samples* per traversal pass, but here no rank ever traverses
+  // a whole sample — each level of every sample is a distributed exchange,
+  // and edge draws come from per-(sample, vertex) streams rather than the
+  // per-sample streams the fused lane layout assumes.  The driver keeps
+  // its scalar distributed-BFS kernel on both models.
 
   ImmResult result;
   StopWatch total;

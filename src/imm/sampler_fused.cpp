@@ -3,41 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <omp.h>
 
 #include "rng/distributions.hpp"
 #include "support/assert.hpp"
-#include "support/metrics.hpp"
-#include "support/trace.hpp"
 
 namespace ripples {
-
-namespace {
-
-/// Same registry account the scalar engines feed, so fused and sequential
-/// runs are comparable on one counter.
-void count_generated(std::uint64_t batch) {
-  if (!metrics::enabled()) return;
-  static metrics::Counter &generated =
-      metrics::Registry::instance().counter("sampler.samples_generated");
-  generated.add(batch);
-}
-
-/// Fused-kernel instrumentation: distinct lane-mask words touched and
-/// frontier passes executed.  Accumulated per FusedSampler and flushed once
-/// per engine call (once per worker in the OpenMP variants) to keep atomic
-/// traffic off the traversal.
-void flush_fused_counters(const FusedSampler &sampler) {
-  if (!metrics::enabled()) return;
-  static metrics::Counter &words =
-      metrics::Registry::instance().counter("sampler.fused.words");
-  static metrics::Counter &passes =
-      metrics::Registry::instance().counter("sampler.fused.passes");
-  words.add(sampler.words_touched());
-  passes.add(sampler.passes());
-}
-
-} // namespace
 
 FusedSampler::FusedSampler(const CsrGraph &graph)
     : graph_(graph), visited_(graph.num_vertices()),
@@ -66,7 +36,7 @@ std::size_t FusedSampler::lane_bytes(const CsrGraph &graph) {
          + m * sizeof(std::uint64_t) * 2;     // thresholds_ + packed_edges_
 }
 
-void FusedSampler::generate(DiffusionModel model, std::uint64_t seed,
+void FusedSampler::generate(std::uint64_t seed,
                             std::span<const std::uint64_t> sample_indices,
                             RRRSet *outs) {
   const auto lanes = static_cast<unsigned>(sample_indices.size());
@@ -79,28 +49,16 @@ void FusedSampler::generate(DiffusionModel model, std::uint64_t seed,
     rng_[l].reset(seed, sample_indices[l] + 1);
     auto root = static_cast<vertex_t>(uniform_index(rng_[l], n));
     if (visited_.set_first(root, l)) touched_[touched_len_++] = root;
-    if (model == DiffusionModel::IndependentCascade) {
-      // run_ic emits the whole sorted set (root included) from the lane
-      // masks at the end, so outs is not touched during the traversal.
-      frontier_[l].ensure(1);
-      frontier_[l].data[0] = root;
-      frontier_[l].len = 1;
-    } else {
-      outs[l].clear();
-      outs[l].push_back(root);
-      current_[l] = root;
-    }
+    // run_ic emits the whole sorted set (root included) from the lane
+    // masks at the end, so outs is not touched during the traversal.
+    frontier_[l].ensure(1);
+    frontier_[l].data[0] = root;
+    frontier_[l].len = 1;
   }
-  if (model == DiffusionModel::IndependentCascade) {
-    run_ic(lanes, outs);
-  } else {
-    run_lt(lanes, outs);
-    for (unsigned l = 0; l < lanes; ++l)
-      std::sort(outs[l].begin(), outs[l].end());
-  }
+  run_ic(lanes, outs);
   words_ += touched_len_;
   // Reset only the touched words: one clear serves all 64 lanes, where the
-  // scalar engines clear per-sample bit lists.
+  // scalar engine clears per-sample bit lists.
   for (std::size_t t = 0; t < touched_len_; ++t)
     visited_.clear_word(touched_[t]);
 }
@@ -258,135 +216,6 @@ void FusedSampler::emit_sorted(unsigned lanes, const std::size_t *counts,
   }
   for (unsigned l = 0; l < lanes; ++l)
     RIPPLES_DEBUG_ASSERT(out_pos[l] == counts[l]);
-}
-
-void FusedSampler::run_lt(unsigned lanes, RRRSet *outs) {
-  // Each pass advances every live reverse walk by one step; a lane's draw
-  // order (one uniform per step, consumed before the cumulative scan) is
-  // exactly RRRGenerator::reverse_walk_lt's.
-  std::uint64_t active =
-      lanes == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
-  while (active != 0) {
-    ++passes_;
-    for (unsigned l = 0; l < lanes; ++l) {
-      if (((active >> l) & 1) == 0) continue;
-      auto in_neighbors = graph_.in_neighbors(current_[l]);
-      if (in_neighbors.empty()) {
-        active &= ~(std::uint64_t{1} << l);
-        continue;
-      }
-      double x = uniform_unit(rng_[l]);
-      double cumulative = 0.0;
-      vertex_t selected = current_[l]; // sentinel: nothing selected
-      for (const Adjacency &in : in_neighbors) {
-        cumulative += in.weight;
-        if (x < cumulative) {
-          selected = in.vertex;
-          break;
-        }
-      }
-      if (selected == current_[l] || visited_.test(selected, l)) {
-        active &= ~(std::uint64_t{1} << l);
-        continue;
-      }
-      if (visited_.set_first(selected, l)) touched_[touched_len_++] = selected;
-      outs[l].push_back(selected);
-      current_[l] = selected;
-    }
-  }
-}
-
-void sample_sequential_fused(const CsrGraph &graph, DiffusionModel model,
-                             std::uint64_t target_total, std::uint64_t seed,
-                             RRRCollection &collection) {
-  if (collection.size() >= target_total) return;
-  trace::Span span("sampler", "sampler.batch_fused", "first",
-                   collection.size(), "count",
-                   target_total - collection.size());
-  std::uint64_t first = collection.grow(target_total - collection.size());
-  auto &sets = collection.mutable_sets();
-  FusedSampler sampler(graph);
-  std::array<std::uint64_t, FusedSampler::kLanes> indices;
-  for (std::uint64_t base = first; base < target_total;
-       base += FusedSampler::kLanes) {
-    const auto lanes = static_cast<unsigned>(std::min<std::uint64_t>(
-        FusedSampler::kLanes, target_total - base));
-    for (unsigned l = 0; l < lanes; ++l) indices[l] = base + l;
-    sampler.generate(model, seed, std::span(indices.data(), lanes),
-                     &sets[base]);
-  }
-  span.arg("passes", sampler.passes());
-  count_generated(target_total - first);
-  flush_fused_counters(sampler);
-  trace::counter("rrr_sets", collection.size());
-}
-
-void sample_multithreaded_fused(const CsrGraph &graph, DiffusionModel model,
-                                std::uint64_t target_total, std::uint64_t seed,
-                                unsigned num_threads,
-                                RRRCollection &collection) {
-  RIPPLES_ASSERT(num_threads >= 1);
-  if (collection.size() >= target_total) return;
-  trace::Span span("sampler", "sampler.batch_fused", "first",
-                   collection.size(), "count",
-                   target_total - collection.size());
-  std::uint64_t first = collection.grow(target_total - collection.size());
-  auto &sets = collection.mutable_sets();
-  const std::uint64_t count = target_total - first;
-  const auto num_blocks = static_cast<std::int64_t>(
-      (count + FusedSampler::kLanes - 1) / FusedSampler::kLanes);
-#pragma omp parallel num_threads(static_cast<int>(num_threads))
-  {
-    FusedSampler sampler(graph);
-    trace::Span worker("sampler", "sampler.worker_fused");
-    std::array<std::uint64_t, FusedSampler::kLanes> indices;
-    std::uint64_t generated = 0;
-    // Dynamic schedule over whole lane blocks: fused batches inherit the
-    // heavy tail of per-sample traversal cost 64 samples at a time.
-#pragma omp for schedule(dynamic, 1) nowait
-    for (std::int64_t b = 0; b < num_blocks; ++b) {
-      std::uint64_t base =
-          first + static_cast<std::uint64_t>(b) * FusedSampler::kLanes;
-      const auto lanes = static_cast<unsigned>(std::min<std::uint64_t>(
-          FusedSampler::kLanes, target_total - base));
-      for (unsigned l = 0; l < lanes; ++l) indices[l] = base + l;
-      sampler.generate(model, seed, std::span(indices.data(), lanes),
-                       &sets[base]);
-      generated += lanes;
-    }
-    worker.arg("sets", generated);
-    flush_fused_counters(sampler);
-  }
-  count_generated(count);
-  trace::counter("rrr_sets", collection.size());
-}
-
-std::uint64_t sample_counter_indices_fused(
-    const CsrGraph &graph, DiffusionModel model, std::uint64_t seed,
-    std::span<const std::uint64_t> indices, unsigned num_threads,
-    RRRCollection &collection) {
-  RIPPLES_ASSERT(num_threads >= 1);
-  if (indices.empty()) return 0;
-  std::uint64_t first_slot = collection.grow(indices.size());
-  auto &sets = collection.mutable_sets();
-  const auto num_blocks = static_cast<std::int64_t>(
-      (indices.size() + FusedSampler::kLanes - 1) / FusedSampler::kLanes);
-#pragma omp parallel num_threads(static_cast<int>(num_threads))
-  {
-    FusedSampler sampler(graph);
-#pragma omp for schedule(dynamic, 1)
-    for (std::int64_t b = 0; b < num_blocks; ++b) {
-      const std::size_t j =
-          static_cast<std::size_t>(b) * FusedSampler::kLanes;
-      const std::size_t lanes =
-          std::min<std::size_t>(FusedSampler::kLanes, indices.size() - j);
-      sampler.generate(model, seed, indices.subspan(j, lanes),
-                       &sets[first_slot + j]);
-    }
-    flush_fused_counters(sampler);
-  }
-  count_generated(indices.size());
-  return indices.size();
 }
 
 } // namespace ripples

@@ -19,10 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "diffusion/model.hpp"
-#include "graph/csr.hpp"
-#include "imm/rrr_collection.hpp"
-
 namespace ripples::detail {
 
 /// A stealable unit of sampling work: the draws of leapfrog \p stream whose
@@ -112,20 +108,6 @@ private:
 [[nodiscard]] std::vector<ChunkRange>
 missing_ranges(std::span<const std::uint64_t> gathered,
                std::uint64_t num_streams, std::uint64_t target);
-
-/// Intra-rank chunked counter sampler: splits \p indices into chunks of
-/// \p chunk positions dealt round-robin to per-thread queues, then runs the
-/// steal loop across \p num_threads OpenMP threads (honouring the
-/// steal_schedule perturbation hook).  Every position j writes its set into
-/// slot first_slot + j of \p collection, so the result is byte-identical to
-/// sample_counter_indices / sample_counter_indices_fused on the same
-/// indices regardless of which thread ran which chunk.  Returns the number
-/// of sets generated.
-std::uint64_t sample_counter_chunked(const CsrGraph &graph,
-                                     DiffusionModel model, std::uint64_t seed,
-                                     std::span<const std::uint64_t> indices,
-                                     unsigned num_threads, std::uint64_t chunk,
-                                     bool fused, RRRCollection &collection);
 
 } // namespace ripples::detail
 

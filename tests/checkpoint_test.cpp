@@ -304,8 +304,7 @@ CsrGraph checkpoint_graph() {
   return graph;
 }
 
-using ResumeCell =
-    std::tuple<const char *, int, RngMode, SelectionExchange, SamplerEngine>;
+using ResumeCell = std::tuple<const char *, int, RngMode, SelectionExchange>;
 
 ImmOptions cell_options(const ResumeCell &cell) {
   ImmOptions options;
@@ -316,11 +315,6 @@ ImmOptions cell_options(const ResumeCell &cell) {
   options.num_ranks = std::get<1>(cell);
   options.rng_mode = std::get<2>(cell);
   options.selection_exchange = std::get<3>(cell);
-  // The engine axis must be outcome-invisible: a run checkpointed under
-  // one engine and resumed under the same one lands on the same results
-  // the scalar engine produces (the fused engine's byte-identity promise
-  // composes with mid-run resume).
-  options.sampler = std::get<4>(cell);
   options.checkpoint = {}; // isolate from any ambient RIPPLES_CHECKPOINT_*
   return options;
 }
@@ -407,12 +401,11 @@ TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
 
 std::string resume_cell_name(
     const ::testing::TestParamInfo<ResumeCell> &info) {
-  const auto &[driver, ranks, rng, exchange, engine] = info.param;
+  const auto &[driver, ranks, rng, exchange] = info.param;
   std::string name = driver;
   name += "_p" + std::to_string(ranks);
   name += rng == RngMode::CounterSequence ? "_counter" : "_leapfrog";
   name += exchange == SelectionExchange::Sparse ? "_sparse" : "_dense";
-  name += engine == SamplerEngine::Fused ? "_fused" : "";
   // "dist-part" contains an invalid character for a test name.
   for (char &c : name)
     if (c == '-') c = '_';
@@ -426,9 +419,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(RngMode::CounterSequence,
                                          RngMode::LeapfrogLcg),
                        ::testing::Values(SelectionExchange::Dense,
-                                         SelectionExchange::Sparse),
-                       ::testing::Values(SamplerEngine::Sequential,
-                                         SamplerEngine::Fused)),
+                                         SelectionExchange::Sparse)),
     resume_cell_name);
 
 // --- abnormal death, refusal, and composition with fault healing -------------
@@ -441,7 +432,7 @@ TEST_F(CheckpointKill, SnapshotsSurviveAnAbruptDeathAndResumeToIdenticalSeeds) {
   // before the death must carry a --resume run to the clean outcome.
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 3, RngMode::CounterSequence,
-                  SelectionExchange::Dense, SamplerEngine::Fused};
+                  SelectionExchange::Dense};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -469,7 +460,7 @@ TEST_F(CheckpointKill, StealMidRoundKillResumesToIdenticalSeeds) {
   // and a stealing-off resume to the clean no-steal outcome.
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 3, RngMode::CounterSequence,
-                  SelectionExchange::Dense, SamplerEngine::Fused};
+                  SelectionExchange::Dense};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -501,7 +492,7 @@ TEST_F(CheckpointKill, ResumeIntoAnEmptyDirectoryStartsFresh) {
   // back to a fresh run, not fail.
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 2, RngMode::CounterSequence,
-                  SelectionExchange::Dense, SamplerEngine::Sequential};
+                  SelectionExchange::Dense};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
   options.checkpoint.dir = dir();
@@ -514,8 +505,7 @@ TEST_F(CheckpointKill, ResumeIntoAnEmptyDirectoryStartsFresh) {
 TEST_F(CheckpointKill, ResumeWithoutADirectoryIsRefused) {
   const CsrGraph graph = checkpoint_graph();
   ImmOptions options = cell_options({"dist", 2, RngMode::CounterSequence,
-                                     SelectionExchange::Dense,
-                                     SamplerEngine::Sequential});
+                                     SelectionExchange::Dense});
   options.checkpoint.resume = true;
   EXPECT_THROW((void)imm_distributed(graph, options), std::runtime_error);
 }
@@ -523,7 +513,7 @@ TEST_F(CheckpointKill, ResumeWithoutADirectoryIsRefused) {
 TEST_F(CheckpointKill, MismatchedResumeIsRefusedNotSilentlyWrong) {
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 2, RngMode::CounterSequence,
-                  SelectionExchange::Dense, SamplerEngine::Sequential};
+                  SelectionExchange::Dense};
   ImmOptions options = cell_options(cell);
   options.checkpoint.dir = dir();
   (void)imm_distributed(graph, options);
@@ -580,7 +570,7 @@ TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
   // writer: the current dense rank 0).
   const CsrGraph graph = checkpoint_graph();
   ResumeCell cell{"dist", 3, RngMode::LeapfrogLcg,
-                  SelectionExchange::Sparse, SamplerEngine::Sequential};
+                  SelectionExchange::Sparse};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -600,8 +590,7 @@ TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
 TEST_F(CheckpointKill, WritesAndBytesAreCounted) {
   const CsrGraph graph = checkpoint_graph();
   ImmOptions options = cell_options({"dist", 2, RngMode::CounterSequence,
-                                     SelectionExchange::Dense,
-                                     SamplerEngine::Sequential});
+                                     SelectionExchange::Dense});
   options.checkpoint.dir = dir();
   metrics::set_enabled(true);
   metrics::Registry &registry = metrics::Registry::instance();

@@ -53,12 +53,12 @@ ImmResult run(Driver driver, const CsrGraph &graph, const ImmOptions &options) {
 }
 
 using Cell = std::tuple<Driver, DiffusionModel, double, std::uint32_t,
-                        SelectionExchange, SamplerEngine>;
+                        SelectionExchange>;
 
 class DriverMatrix : public ::testing::TestWithParam<Cell> {};
 
 TEST_P(DriverMatrix, SatisfiesContractAndSequentialAgreement) {
-  auto [driver, model, epsilon, k, exchange, engine] = GetParam();
+  auto [driver, model, epsilon, k, exchange] = GetParam();
 
   CsrGraph graph(barabasi_albert(400, 3, 77));
   assign_uniform_weights(graph, 78);
@@ -73,10 +73,6 @@ TEST_P(DriverMatrix, SatisfiesContractAndSequentialAgreement) {
   // Only the mpsim drivers consult the knob; the shared-memory drivers must
   // ignore it, which running them in both modes verifies for free.
   options.selection_exchange = exchange;
-  // The fused engine promises byte-identical collections, so every
-  // contract and agreement check below must hold cell-for-cell in both
-  // engines; the reference below always runs the scalar engine.
-  options.sampler = engine;
 
   ImmResult result = run(driver, graph, options);
 
@@ -94,14 +90,13 @@ TEST_P(DriverMatrix, SatisfiesContractAndSequentialAgreement) {
   // The counter-stream drivers share the exact sample distribution with
   // the sequential reference, so the seed set must be identical.  The
   // partitioned driver uses per-(sample, vertex) streams and is checked
-  // for rank invariance in imm_partitioned_test instead.
-  // A fused sequential cell is still checked against the scalar-engine
-  // reference: that comparison IS the fused byte-identity claim.
+  // for rank invariance in imm_partitioned_test instead.  The Baseline
+  // cells are the end-to-end engine oracle: their hypergraph sampler runs
+  // the scalar RRRGenerator on both models, while imm_sequential runs the
+  // model's engine (fused lanes on IC).
   if (driver != Driver::DistributedPartitioned &&
-      (driver != Driver::Sequential || engine == SamplerEngine::Fused)) {
-    ImmOptions reference_options = options;
-    reference_options.sampler = SamplerEngine::Sequential;
-    ImmResult reference = imm_sequential(graph, reference_options);
+      driver != Driver::Sequential) {
+    ImmResult reference = imm_sequential(graph, options);
     EXPECT_EQ(result.seeds, reference.seeds) << name_of(driver);
     EXPECT_EQ(result.theta, reference.theta);
   }
@@ -118,21 +113,60 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(0.4, 0.5),
         ::testing::Values(2u, 12u),
         ::testing::Values(SelectionExchange::Dense,
-                          SelectionExchange::Sparse),
-        ::testing::Values(SamplerEngine::Sequential, SamplerEngine::Fused)));
+                          SelectionExchange::Sparse)));
 
-// Fused acceptance sweep over rank counts: for every ranks in {1,2,4,8} x
-// rng mode x exchange protocol, the distributed driver under the fused
-// engine must agree bit-exactly with the same configuration under the
-// scalar engine (the engines promise identical collections), and in
-// counter mode with the sequential reference as well.  Leap-frog mode
-// keeps its scalar kernel, so there the check pins the fused flag as a
-// strict no-op.
-class FusedRankSweep
+// Rank sweep against the scalar oracle: for every ranks in {1,2,4,8} x
+// model x exchange protocol, the counter-mode distributed driver (the
+// model's engine, fused lanes on IC) must agree bit-exactly with the
+// Table 2 baseline driver, whose hypergraph sampler runs the scalar
+// RRRGenerator one index at a time.
+class RankSweep
+    : public ::testing::TestWithParam<
+          std::tuple<int, DiffusionModel, SelectionExchange>> {};
+
+TEST_P(RankSweep, DistributedMatchesScalarBaseline) {
+  auto [ranks, model, exchange] = GetParam();
+
+  CsrGraph graph(barabasi_albert(400, 3, 77));
+  assign_uniform_weights(graph, 78);
+  if (model == DiffusionModel::LinearThreshold)
+    renormalize_linear_threshold(graph);
+
+  ImmOptions options;
+  options.epsilon = 0.5;
+  options.k = 8;
+  options.model = model;
+  options.seed = 4242;
+  options.num_ranks = ranks;
+  options.selection_exchange = exchange;
+
+  ImmResult distributed = imm_distributed(graph, options);
+  ImmResult baseline = imm_baseline_hypergraph(graph, options);
+  EXPECT_EQ(distributed.seeds, baseline.seeds);
+  EXPECT_EQ(distributed.theta, baseline.theta);
+  EXPECT_EQ(distributed.num_samples, baseline.num_samples);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksModelExchange, RankSweep,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(DiffusionModel::IndependentCascade,
+                                         DiffusionModel::LinearThreshold),
+                       ::testing::Values(SelectionExchange::Dense,
+                                         SelectionExchange::Sparse)));
+
+// Stealing axis (DESIGN.md §13): for every ranks in {1,2,4,8} x rng mode x
+// exchange protocol, the distributed driver with work-stealing on
+// (and the skewed fig7 partition manufactured, so inter steals actually
+// move chunks) must agree bit-exactly with the same configuration with
+// stealing off — stealing is a pure placement knob.  Counter mode is also
+// pinned to the sequential reference; leap-frog mode keeps its pinned
+// placement, so there the sweep asserts the knob is a strict no-op.
+class StealSweep
     : public ::testing::TestWithParam<
           std::tuple<int, RngMode, SelectionExchange>> {};
 
-TEST_P(FusedRankSweep, FusedDistributedMatchesScalarEngine) {
+TEST_P(StealSweep, StealingOnMatchesStealingOff) {
   auto [ranks, rng_mode, exchange] = GetParam();
 
   CsrGraph graph(barabasi_albert(400, 3, 77));
@@ -146,56 +180,6 @@ TEST_P(FusedRankSweep, FusedDistributedMatchesScalarEngine) {
   options.num_ranks = ranks;
   options.rng_mode = rng_mode;
   options.selection_exchange = exchange;
-
-  options.sampler = SamplerEngine::Fused;
-  ImmResult fused = imm_distributed(graph, options);
-  options.sampler = SamplerEngine::Sequential;
-  ImmResult scalar = imm_distributed(graph, options);
-  EXPECT_EQ(fused.seeds, scalar.seeds);
-  EXPECT_EQ(fused.theta, scalar.theta);
-  EXPECT_EQ(fused.coverage_fraction, scalar.coverage_fraction);
-
-  if (rng_mode == RngMode::CounterSequence) {
-    ImmResult reference = imm_sequential(graph, options);
-    EXPECT_EQ(fused.seeds, reference.seeds);
-    EXPECT_EQ(fused.theta, reference.theta);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RanksRngExchange, FusedRankSweep,
-    ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg),
-                       ::testing::Values(SelectionExchange::Dense,
-                                         SelectionExchange::Sparse)));
-
-// Stealing axis (DESIGN.md §13): for every ranks in {1,2,4,8} x rng mode x
-// exchange protocol x engine, the distributed driver with work-stealing on
-// (and the skewed fig7 partition manufactured, so inter steals actually
-// move chunks) must agree bit-exactly with the same configuration with
-// stealing off — stealing is a pure placement knob.  Counter mode is also
-// pinned to the sequential reference; leap-frog mode keeps its pinned
-// placement, so there the sweep asserts the knob is a strict no-op.
-class StealSweep
-    : public ::testing::TestWithParam<
-          std::tuple<int, RngMode, SelectionExchange, SamplerEngine>> {};
-
-TEST_P(StealSweep, StealingOnMatchesStealingOff) {
-  auto [ranks, rng_mode, exchange, engine] = GetParam();
-
-  CsrGraph graph(barabasi_albert(400, 3, 77));
-  assign_uniform_weights(graph, 78);
-
-  ImmOptions options;
-  options.epsilon = 0.5;
-  options.k = 8;
-  options.model = DiffusionModel::IndependentCascade;
-  options.seed = 4242;
-  options.num_ranks = ranks;
-  options.rng_mode = rng_mode;
-  options.selection_exchange = exchange;
-  options.sampler = engine;
   options.steal = StealMode::Off;
   options.steal_chunk = 16;
 
@@ -217,14 +201,12 @@ TEST_P(StealSweep, StealingOnMatchesStealingOff) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RanksRngExchangeEngine, StealSweep,
+    RanksRngExchange, StealSweep,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
                        ::testing::Values(RngMode::CounterSequence,
                                          RngMode::LeapfrogLcg),
                        ::testing::Values(SelectionExchange::Dense,
-                                         SelectionExchange::Sparse),
-                       ::testing::Values(SamplerEngine::Sequential,
-                                         SamplerEngine::Fused)));
+                                         SelectionExchange::Sparse)));
 
 // Forced-compression axis: under --rrr-compress always every governed
 // driver must return byte-identical seeds to its plain-representation run —

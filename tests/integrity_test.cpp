@@ -572,7 +572,6 @@ ImmOptions healing_options() {
 TEST(ImmIntegrity, VerificationOnAFaultFreeRunChangesNothing) {
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
-  options.sampler = SamplerEngine::Fused;
   options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
@@ -609,7 +608,6 @@ TEST(ImmCorruptionHealing, TransientCorruptionRetriesToTheCleanSeeds) {
   // failure-free seeds byte for byte.
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
-  options.sampler = SamplerEngine::Fused;
   options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
@@ -631,7 +629,6 @@ TEST(ImmCorruptionHealing, TransientCorruptionRetriesToTheCleanSeeds) {
 TEST(ImmCorruptionHealing, FlakyLinksAreAbsorbedByRetries) {
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
-  options.sampler = SamplerEngine::Fused;
   options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -649,12 +646,11 @@ TEST(ImmCorruptionHealing, FlakyLinksAreAbsorbedByRetries) {
 TEST(ImmCorruptionHealing,
      StickyCorruptionAtEverySparseCollectiveSiteHealsBitIdentically) {
   // The acceptance sweep: a sticky corrupter at each early collective site
-  // of the fused+sparse protocol exhausts its retry budget, dies with the
+  // of the sparse protocol exhausts its retry budget, dies with the
   // diagnosis, and the survivors shrink and regenerate its samples — the
   // healed run must return the failure-free seed set exactly.
   CsrGraph graph = healing_graph();
   ImmOptions options = healing_options();
-  options.sampler = SamplerEngine::Fused;
   options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);

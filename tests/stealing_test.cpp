@@ -311,9 +311,6 @@ TEST(StealIdentity, InterOnlyAndIntraOnlyMatchBaseline) {
   options.num_threads = 3;
   expect_same(capture(imm_distributed(sweep_graph(), options)),
               no_steal_baseline(), "intra only, 3 threads");
-  options.sampler = SamplerEngine::Fused;
-  expect_same(capture(imm_distributed(sweep_graph(), options)),
-              no_steal_baseline(), "intra only, 3 threads, fused");
 }
 
 TEST(StealIdentity, LeapfrogModePinsStealingAsANoOp) {
