@@ -7,6 +7,7 @@
 #include "support/assert.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
+#include "support/tsan.hpp"
 
 namespace ripples {
 
@@ -210,8 +211,10 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
   std::vector<Candidate> local_best(num_threads);
   vertex_t chosen = 0;
 
+  tsan_release(&chosen);
 #pragma omp parallel num_threads(static_cast<int>(num_threads))
   {
+    tsan_acquire(&chosen);
     const auto t = static_cast<unsigned>(omp_get_thread_num());
     const auto p = static_cast<unsigned>(omp_get_num_threads());
     // Samples this thread retires (owner-computes: j % p == t).  Collected
@@ -305,7 +308,9 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
 
 #pragma omp atomic
     result.covered_samples += my_covered;
+    tsan_release(&chosen);
   }
+  tsan_acquire(&chosen);
   return result;
 }
 
