@@ -14,7 +14,7 @@
 ///                                          each sample's short path
 ///                                          alone; byte-identical output)
 ///           [--epsilon 0.5] [-k 50]
-///           [--threads N] [--ranks P] [--rng counter|leapfrog]
+///           [--threads N] [--ranks P]
 ///           [--evaluate-trials 0] [--json out.json] [--seed S]
 ///           [--json-report report.json]   (structured metrics run report)
 ///           [--trace trace.json]          (Chrome trace-event timeline,
@@ -58,9 +58,8 @@
 ///                                          round; default 16)
 ///           [--steal on|off|intra|inter]  (work-stealing sampler scope;
 ///                                          byte-identical seeds in every
-///                                          mode — placement only; counter
-///                                          rng, dist driver; also
-///                                          RIPPLES_STEAL)
+///                                          mode — placement only; dist
+///                                          driver; also RIPPLES_STEAL)
 ///           [--steal-chunk N]             (draws per stealable chunk;
 ///                                          default 64; also
 ///                                          RIPPLES_STEAL_CHUNK)
@@ -75,6 +74,10 @@
 ///           [--scrub-rrr off|on|paranoid] (verify + self-repair stored RRR
 ///                                          arena checksums before selection
 ///                                          (on) or every kernel (paranoid);
+///                                          seq/mt/dist with a governed
+///                                          store only — --mem-budget,
+///                                          --rrr-compress always or a
+///                                          kind=oom fault — else refused;
 ///                                          also RIPPLES_SCRUB_RRR)
 ///           [--checkpoint-dir DIR]        (dist/dist-part: snapshot the
 ///                                          martingale state at round
@@ -92,9 +95,13 @@
 ///                                          edges in --input, not just
 ///                                          malformed lines/weights)
 ///   imm_cli --dataset com-DBLP --scale 0.01 ...     (surrogate input)
+///
+/// Any other option is refused with exit code 2, as is a scrubbing request
+/// on a run whose RRR store nothing would scrub.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "ripples/ripples.hpp"
 
@@ -102,22 +109,43 @@ namespace {
 
 using namespace ripples;
 
-CsrGraph load_graph(const CommandLine &cli, std::uint64_t seed,
+/// Where the graph comes from, read before anything runs so that every
+/// option is declared when the command line is checked for unknown ones.
+struct GraphSource {
+  std::optional<std::string> input;
+  bool strict_input = false;
+  std::string dataset;
+  double scale = 0.05;
+  std::string snap_dir;
+  std::string weights;
+};
+
+GraphSource graph_source_from_cli(const CommandLine &cli) {
+  GraphSource source;
+  source.input = cli.value_of("input");
+  source.strict_input = cli.has_flag("strict-input");
+  source.dataset = cli.get("dataset", std::string("cit-HepTh"));
+  source.scale = cli.get("scale", 0.05);
+  source.snap_dir = cli.get("snap-dir", std::string());
+  source.weights = cli.get("weights", std::string("uniform"));
+  return source;
+}
+
+CsrGraph load_graph(const GraphSource &source, std::uint64_t seed,
                     DiffusionModel model) {
   CsrGraph graph = [&] {
-    if (auto input = cli.value_of("input")) {
-      RIPPLES_LOG_INFO("loading edge list from %s", input->c_str());
+    if (source.input) {
+      RIPPLES_LOG_INFO("loading edge list from %s", source.input->c_str());
       EdgeListValidation validation;
-      validation.reject_self_loops = cli.has_flag("strict-input");
-      validation.reject_duplicates = cli.has_flag("strict-input");
-      return CsrGraph(load_edge_list_text(*input, true, validation));
+      validation.reject_self_loops = source.strict_input;
+      validation.reject_duplicates = source.strict_input;
+      return CsrGraph(load_edge_list_text(*source.input, true, validation));
     }
-    const std::string dataset = cli.get("dataset", std::string("cit-HepTh"));
-    return materialize(find_dataset(dataset), cli.get("scale", 0.05), seed,
-                       cli.get("snap-dir", std::string()));
+    return materialize(find_dataset(source.dataset), source.scale, seed,
+                       source.snap_dir);
   }();
 
-  const std::string weights = cli.get("weights", std::string("uniform"));
+  const std::string &weights = source.weights;
   if (weights == "uniform") {
     assign_uniform_weights(graph, seed + 1);
   } else if (weights.rfind("constant:", 0) == 0) {
@@ -136,9 +164,8 @@ CsrGraph load_graph(const CommandLine &cli, std::uint64_t seed,
   return graph;
 }
 
-ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
-                     const CommandLine &cli, DiffusionModel model,
-                     std::uint64_t seed) {
+ImmOptions options_from_cli(const CommandLine &cli, DiffusionModel model,
+                            std::uint64_t seed) {
   ImmOptions options;
   options.epsilon = cli.get("epsilon", 0.5);
   options.k = static_cast<std::uint32_t>(
@@ -148,8 +175,6 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
   options.num_threads =
       static_cast<unsigned>(cli.get_bounded("threads", 1, 1, UINT32_MAX));
   options.num_ranks = static_cast<int>(cli.get_bounded("ranks", 2, 1, INT32_MAX));
-  if (cli.get("rng", std::string("counter")) == "leapfrog")
-    options.rng_mode = RngMode::LeapfrogLcg;
   options.recover_failures = cli.has_flag("recover");
   options.watchdog_ms = static_cast<std::uint32_t>(
       cli.get_bounded("watchdog-ms", 0, 0, UINT32_MAX));
@@ -230,7 +255,47 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
   options.checkpoint.keep_last = static_cast<std::uint32_t>(cli.get_bounded(
       "checkpoint-keep", options.checkpoint.keep_last, 1, UINT32_MAX));
   if (cli.has_flag("resume")) options.checkpoint.resume = true;
+  return options;
+}
 
+/// Exits 2 when scrubbing is requested (by --scrub-rrr or RIPPLES_SCRUB_RRR)
+/// where nothing gets scrubbed: only the budget-governed RRR store of the
+/// seq, mt and dist drivers carries checksums, and a run builds that store
+/// only under a finite budget, forced compression, or an injected oom
+/// fault.
+void refuse_idle_scrub(const ImmOptions &options, const std::string &driver) {
+  if (options.scrub_rrr == ScrubMode::Off) return;
+  const char *scrub = to_string(options.scrub_rrr);
+  if (driver != "seq" && driver != "mt" && driver != "dist") {
+    std::fprintf(stderr,
+                 "--scrub-rrr %s has no effect with --driver %s: only seq, mt "
+                 "and dist keep a scrubbable RRR store\n",
+                 scrub, driver.c_str());
+    std::exit(2);
+  }
+  bool governed = options.mem_budget > 0 ||
+                  options.rrr_compress == CompressMode::Always;
+  if (!governed) {
+    try {
+      governed = !detail::oom_faults_from_plan(options.fault_plan).empty();
+    } catch (const std::exception &error) {
+      std::fprintf(stderr, "invalid fault plan: %s\n", error.what());
+      std::exit(2);
+    }
+  }
+  if (!governed) {
+    std::fprintf(stderr,
+                 "--scrub-rrr %s has no effect without a governed RRR store: "
+                 "add --rrr-compress always or --mem-budget BYTES\n",
+                 scrub);
+    std::exit(2);
+  }
+}
+
+ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
+                     const ImmOptions &options, double ris_budget_scale) {
+  const DiffusionModel model = options.model;
+  const std::uint64_t seed = options.seed;
   if (driver == "seq") return imm_sequential(graph, options);
   if (driver == "baseline") return imm_baseline_hypergraph(graph, options);
   if (driver == "mt") return imm_multithreaded(graph, options);
@@ -250,7 +315,7 @@ ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
     ris.k = options.k;
     ris.model = model;
     ris.seed = seed;
-    ris.budget_scale = cli.get("ris-budget-scale", 0.05);
+    ris.budget_scale = ris_budget_scale;
     return ris_threshold(graph, ris);
   }
   std::fprintf(stderr, "unknown --driver '%s' "
@@ -304,20 +369,33 @@ int main(int argc, char **argv) {
       static_cast<std::uint64_t>(cli.get_bounded("seed", 2019, 0, INT64_MAX));
   const DiffusionModel model = parse_model(cli.get("model", std::string("IC")));
   const std::string driver = cli.get("driver", std::string("mt"));
+  const std::string report_path = cli.get("json-report", std::string());
+  const std::string trace_path = cli.get("trace", std::string());
+  const bool profile_mem =
+      cli.has_flag("profile-mem") || cli.value_of("profile-mem-hz");
+  const auto profile_mem_hz = static_cast<double>(
+      cli.get_bounded("profile-mem-hz", 10.0, 0.1, 1000.0));
+  const GraphSource source = graph_source_from_cli(cli);
+  const ImmOptions options = options_from_cli(cli, model, seed);
+  const double ris_budget_scale = cli.get("ris-budget-scale", 0.05);
+  const auto trials = static_cast<std::uint32_t>(
+      cli.get_bounded("evaluate-trials", 0, 0, UINT32_MAX));
+  const std::optional<std::string> json_path = cli.value_of("json");
+  // Every accepted option has been read: refuse typos and retired options
+  // before any work starts, then combinations that would silently idle.
+  cli.reject_unknown();
+  refuse_idle_scrub(options, driver);
+
   // Enable metrics before the run so the report captures communication
   // volume and registry counters (RIPPLES_METRICS=1 works too).  The report
   // log flushes at exit, carrying the registry alongside the run report.
-  const std::string report_path = cli.get("json-report", std::string());
   if (!report_path.empty()) metrics::write_reports_at_exit(report_path);
   // Span tracing is independent of metrics: RIPPLES_TRACE=1 (or =path)
   // works too; --trace <path> both enables it and names the output.
-  const std::string trace_path = cli.get("trace", std::string());
   if (!trace_path.empty()) trace::set_enabled(true);
   // Background resource sampler: memory timeline in the report, counter
   // tracks in the trace.  Stopped before either artifact is written.
-  if (cli.has_flag("profile-mem") || cli.value_of("profile-mem-hz"))
-    ResourceSampler::instance().start(
-        cli.get_bounded("profile-mem-hz", 10.0, 0.1, 1000.0));
+  if (profile_mem) ResourceSampler::instance().start(profile_mem_hz);
   // Graceful shutdown: Ctrl-C or a scheduler's TERM writes any pending
   // checkpoint and flushes the report log and trace buffers before exiting
   // 128+signum, leaving the same resumable state a round boundary would.
@@ -325,7 +403,7 @@ int main(int argc, char **argv) {
 
   CsrGraph graph = [&] {
     try {
-      return load_graph(cli, seed, model);
+      return load_graph(source, seed, model);
     } catch (const std::exception &error) {
       std::fprintf(stderr, "input rejected: %s\n", error.what());
       std::exit(2);
@@ -339,7 +417,7 @@ int main(int argc, char **argv) {
 
   ImmResult result;
   try {
-    result = run_driver(driver, graph, cli, model, seed);
+    result = run_driver(driver, graph, options, ris_budget_scale);
   } catch (const std::exception &error) {
     // A failed run must still leave its diagnostics behind: a marked
     // partial report and whatever the trace ring buffers held when the
@@ -371,11 +449,9 @@ int main(int argc, char **argv) {
   if (result.degraded)
     std::printf("degraded: memory budget reached; certified epsilon %.4f "
                 "(requested %.4f)\n",
-                result.epsilon_achieved, cli.get("epsilon", 0.5));
+                result.epsilon_achieved, options.epsilon);
 
   InfluenceEstimate influence;
-  const auto trials = static_cast<std::uint32_t>(
-      cli.get_bounded("evaluate-trials", 0, 0, UINT32_MAX));
   if (trials > 0) {
     influence = estimate_influence(graph, result.seeds, model, trials, seed + 9);
     std::printf("estimated influence: %.1f +/- %.1f over %u trials\n",
@@ -386,9 +462,9 @@ int main(int argc, char **argv) {
   for (vertex_t s : result.seeds) std::printf(" %u", s);
   std::printf("\n");
 
-  if (auto json = cli.value_of("json")) {
-    write_json(*json, driver, result, influence, stats);
-    std::printf("[json written to %s]\n", json->c_str());
+  if (json_path) {
+    write_json(*json_path, driver, result, influence, stats);
+    std::printf("[json written to %s]\n", json_path->c_str());
   }
   if (!report_path.empty())
     std::printf("[run report will be written to %s]\n", report_path.c_str());

@@ -415,15 +415,15 @@ if [[ "$run_integrity" == 1 ]]; then
   # No EXIT trap here — the checkpoint leg owns it; clean up explicitly.
   int_work=$(mktemp -d)
   int_cli=./build/examples/imm_cli
-  int_args=(--driver dist --ranks 4 --selection-exchange sparse
-            --steal on --dataset cit-HepTh --scale 0.1 --epsilon 0.5 -k 16
-            --seed 2019)
+  base_args=(--driver dist --ranks 4 --selection-exchange sparse
+             --dataset cit-HepTh --scale 0.1 --epsilon 0.5 -k 16 --seed 2019)
+  int_args=("${base_args[@]}" --steal on)
   # References: the unverified run proves the checksum layer changes nothing
   # observable; the verified run is the byte-identity baseline every injected
   # run below must reproduce.
   "$int_cli" "${int_args[@]}" --json-report "$int_work/plain.json" > /dev/null \
     || { rm -rf "$int_work"; echo "integrity: unverified reference run failed" >&2; exit 1; }
-  "$int_cli" "${int_args[@]}" --verify-collectives --scrub-rrr on \
+  "$int_cli" "${int_args[@]}" --verify-collectives \
     --json-report "$int_work/clean.json" > /dev/null \
     || { rm -rf "$int_work"; echo "integrity: verified reference run failed" >&2; exit 1; }
   # --ignore-placement: with --steal on, who ends up doing which chunk is
@@ -433,15 +433,31 @@ if [[ "$run_integrity" == 1 ]]; then
     --allow-missing --phase-tolerance 2.0 --counter-tolerance 100 \
     "$int_work/plain.json" "$int_work/clean.json" > /dev/null \
     || { rm -rf "$int_work"; echo "integrity: enabling verification changed the results" >&2; exit 1; }
-  # Paranoid scrubbing re-checks every RRR block on every iterate; it may
-  # cost time but must be invisible to the algorithm.
-  "$int_cli" "${int_args[@]}" --verify-collectives --scrub-rrr paranoid \
-    --json-report "$int_work/paranoid.json" > /dev/null \
-    || { rm -rf "$int_work"; echo "integrity: paranoid scrub run failed" >&2; exit 1; }
-  python3 scripts/compare_reports.py --check-seeds --ignore-placement \
-    --allow-missing --phase-tolerance 2.0 --counter-tolerance 100 \
-    "$int_work/plain.json" "$int_work/paranoid.json" > /dev/null \
-    || { rm -rf "$int_work"; echo "integrity: paranoid scrubbing changed the results" >&2; exit 1; }
+  # Scrubbing re-checks the RRR arena's block CRCs before selection (on) or
+  # before every kernel (paranoid); it may cost time but must be invisible
+  # to the algorithm.  Only the governed store carries checksums, so these
+  # runs force it with --rrr-compress always — and run without --steal,
+  # which a governed store limits to intra-rank stealing.  Each must report
+  # scrub passes: a scrub run that never scrubbed would compare nothing.
+  for scrub in on paranoid; do
+    "$int_cli" "${base_args[@]}" --verify-collectives --rrr-compress always \
+      --scrub-rrr "$scrub" --json-report "$int_work/scrub-$scrub.json" > /dev/null \
+      || { rm -rf "$int_work"; echo "integrity: scrub=$scrub run failed" >&2; exit 1; }
+    python3 - "$int_work/scrub-$scrub.json" <<'EOF' \
+      || { rm -rf "$int_work"; echo "integrity: scrub=$scrub run never scrubbed" >&2; exit 1; }
+import json, sys
+counters = json.load(open(sys.argv[1]))["registry"]["counters"]
+assert counters.get("integrity.scrub_passes", 0) > 0, "no scrub passes"
+EOF
+    # The phase floor mutes timing: paranoid scrubbing re-verifies the
+    # arena before every kernel, many times this sub-second run's select.
+    python3 scripts/compare_reports.py --check-seeds --ignore-placement \
+      --allow-missing --phase-tolerance 2.0 --phase-min-seconds 1.0 \
+      --counter-tolerance 100 \
+      "$int_work/plain.json" "$int_work/scrub-$scrub.json" > /dev/null \
+      || { rm -rf "$int_work"; echo "integrity: scrub=$scrub changed the results" >&2; exit 1; }
+    echo "  scrub=$scrub: scrub passes recorded, seeds identical to the unverified run"
+  done
 
   # Transient flip at EVERY communication site: the CRC must catch it, the
   # bounded retry must retransmit clean bytes, and the run must finish with
@@ -464,7 +480,7 @@ if [[ "$run_integrity" == 1 ]]; then
     fired=0
     for probe in 0 1 2 3; do
       rank=$(( (site + probe) % 4 ))
-      "$int_cli" "${int_args[@]}" --verify-collectives --scrub-rrr on \
+      "$int_cli" "${int_args[@]}" --verify-collectives \
         --inject-fault "rank=$rank,site=$site,kind=corrupt" \
         --json-report "$int_work/corrupt.json" > /dev/null \
         || { rm -rf "$int_work"; echo "integrity: transient flip at rank=$rank site=$site was not survived" >&2; exit 1; }
@@ -521,7 +537,7 @@ EOF
     # broken spread.
     for probe in 0 1 2 3; do
       rank=$(( (slot + probe) % 4 ))
-      "$int_cli" "${int_args[@]}" --verify-collectives --scrub-rrr on --recover \
+      "$int_cli" "${int_args[@]}" --verify-collectives --recover \
         --inject-fault "rank=$rank,site=$site,kind=corrupt,sticky" \
         --json-report "$int_work/sticky.json" > /dev/null \
         || { rm -rf "$int_work"; echo "integrity: sticky flip at rank=$rank site=$site was not healed" >&2; exit 1; }
@@ -565,7 +581,7 @@ EOF
     rank=${spec%%:*}
     attempts=${spec##*:}
     site=$(( (rank + 1) * (sites - 1) / 5 ))
-    "$int_cli" "${int_args[@]}" --verify-collectives --scrub-rrr on \
+    "$int_cli" "${int_args[@]}" --verify-collectives \
       --inject-fault "rank=$rank,site=$site,kind=flaky,attempts=$attempts" \
       --json-report "$int_work/flaky.json" > /dev/null \
       || { rm -rf "$int_work"; echo "integrity: flaky delivery at rank=$rank site=$site was not absorbed" >&2; exit 1; }

@@ -308,7 +308,7 @@ SelectionResult RRRStore::select(vertex_t num_vertices, std::uint32_t k,
 }
 
 void RRRStore::count_into(std::span<std::uint32_t> counters) {
-  if (policy_.scrub == ScrubMode::Paranoid) scrub();
+  scrub();
   if (compressed_active_)
     count_memberships(compressed_, counters);
   else

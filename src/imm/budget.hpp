@@ -131,10 +131,8 @@ public:
     std::uint64_t chunk = 16384;
     /// Storage scrubbing (DESIGN.md §14).  Checksums exist only on the
     /// compressed arena, and repair replays admission windows through the
-    /// recorded generators, so drivers must only enable this when their
-    /// generators are pure functions of (first, count) — counter-sequence
-    /// RNG mode; the leapfrog engines are stateful and keep this Off, the
-    /// same silent-no-op rule as work stealing.
+    /// recorded generators, so a driver's generators must be pure functions
+    /// of (first, count) — which the per-index counter streams make them.
     ScrubMode scrub = ScrubMode::Off;
   };
 
@@ -178,7 +176,9 @@ public:
                                        unsigned num_threads);
 
   // Kernels of the distributed selection protocol, dispatched to the active
-  // representation.  Under ScrubMode::Paranoid each one scrubs first.
+  // representation.  count_into opens every selection, so like select() it
+  // scrubs first under ScrubMode::On/Paranoid; the retire kernels scrub
+  // first under ScrubMode::Paranoid only.
   void count_into(std::span<std::uint32_t> counters);
   std::uint64_t retire(vertex_t seed, std::span<std::uint32_t> counters,
                        std::vector<std::uint8_t> &retired);

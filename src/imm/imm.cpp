@@ -69,8 +69,8 @@ void finalize_run_report(ImmResult &result, const char *driver,
   report.seed = options.seed;
   report.num_threads = options.num_threads;
   report.num_ranks = options.num_ranks;
-  report.rng_mode =
-      options.rng_mode == RngMode::LeapfrogLcg ? "leapfrog" : "counter";
+  // Schema v8 keeps the field; counter streams are the only discipline.
+  report.rng_mode = "counter";
   report.mem_budget = options.mem_budget;
   report.rrr_compress = options.rrr_compress == CompressMode::Always ? "always"
                         : options.rrr_compress == CompressMode::Off  ? "off"
@@ -149,12 +149,7 @@ make_governed_store(const ImmOptions &options, const detail::ScopedBudget &budge
   policy.budget_bytes = options.mem_budget;
   policy.compress = options.rrr_compress;
   policy.consumer = consumer;
-  // Scrub repair replays stored windows from their counter coordinates;
-  // the leapfrog engines are stateful, so scrubbing stays off there (the
-  // stealing silent-no-op rule).
-  policy.scrub = options.rng_mode == RngMode::CounterSequence
-                     ? options.scrub_rrr
-                     : ScrubMode::Off;
+  policy.scrub = options.scrub_rrr;
   return std::optional<detail::RRRStore>(std::in_place, policy);
 }
 

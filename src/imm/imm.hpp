@@ -13,8 +13,12 @@
 ///
 /// Every driver runs the same martingale estimation (Alg. 2), returns the
 /// phase-decomposed timings the paper's figures plot, and — given the same
-/// (seed, epsilon, k, model) and the default CounterSequence rng mode —
-/// the exact same seed set, which the integration tests assert.
+/// (seed, epsilon, k, model) — the exact same seed set, which the
+/// integration tests assert.  Sample i always draws from its own Philox
+/// stream sample_stream(seed, i); the distributed drivers keep the paper's
+/// leap-frog partition of the index space (stream s of p owns the indices
+/// i ≡ s mod p) on top of it, so R is invariant to the rank and thread
+/// count.
 #ifndef RIPPLES_IMM_IMM_HPP
 #define RIPPLES_IMM_IMM_HPP
 
@@ -31,18 +35,6 @@
 #include "support/timer.hpp"
 
 namespace ripples {
-
-/// Parallel random-number discipline of the distributed sampler.
-enum class RngMode {
-  /// Per-sample Philox streams indexed by the global sample id: R is
-  /// invariant to the rank/thread count (the library default).
-  CounterSequence,
-  /// The paper's scheme: one global LCG sequence, leap-frog split across
-  /// ranks (rank r consumes subsequence r, r+p, r+2p, ...).  R depends on p
-  /// only through which rank produced which sample; the consumed random
-  /// numbers are a prefix of the one global stream.
-  LeapfrogLcg,
-};
 
 /// Seed-selection exchange protocol of the mpsim drivers (Section 3.2's
 /// allreduce vs. the sparse top-m protocol of DESIGN.md §8).  Both produce
@@ -63,9 +55,7 @@ enum class SelectionExchange {
 /// Work-stealing scope of the sampling phase (DESIGN.md §13).  Because the
 /// counter-mode RNG derives each draw from its global stream index, moving a
 /// chunk between executors cannot change the emitted bytes — stealing is a
-/// pure placement knob, byte-identical on vs. off.  Requires
-/// RngMode::CounterSequence; the leapfrog mode silently keeps its pinned
-/// placement (tests assert the no-op).  Inter-rank stealing additionally
+/// pure placement knob, byte-identical on vs. off.  Inter-rank stealing
 /// requires the ungoverned path (budget admission windows are rank-local).
 enum class StealMode {
   /// No stealing: every draw runs where the static partition homed it.
@@ -104,7 +94,6 @@ struct ImmOptions {
   unsigned num_threads = 1;
   /// mpsim ranks (imm_distributed only).
   int num_ranks = 1;
-  RngMode rng_mode = RngMode::CounterSequence;
 
   // Fault tolerance (the mpsim drivers; see DESIGN.md failure model).
   /// Survive rank failures: survivors shrink the communicator, regenerate
@@ -157,8 +146,8 @@ struct ImmOptions {
   // Work-stealing sampler (DESIGN.md §13).
   /// Steal scope (`--steal`); defaults from RIPPLES_STEAL.  A placement
   /// knob only — seeds/theta/|R|/coverage are byte-identical in every mode
-  /// and under every steal schedule (stealing_test sweeps them).  Counter
-  /// rng mode only; imm_distributed is the consumer (Intra/On chunk the
+  /// and under every steal schedule (stealing_test sweeps them).
+  /// imm_distributed is the consumer (Intra/On chunk the
   /// in-rank sampling loop, Inter/On additionally donate chunks to the
   /// mpsim steal channel); the other drivers ignore the knob.
   StealMode steal = steal_mode_from_env();
@@ -169,13 +158,13 @@ struct ImmOptions {
   /// on the first live rank, manufacturing the fig7 pathological partition.
   /// With stealing off this is the worst-case baseline; with inter stealing
   /// on, thieves spread the same draws — byte-identical seeds either way.
-  /// Counter mode, imm_distributed, ungoverned path only.
+  /// imm_distributed, ungoverned path only.
   bool steal_skew = steal_skew_from_env();
 
   // End-to-end data integrity (DESIGN.md §14).
-  /// Checksum every collective payload, mailbox message, and steal-channel
-  /// item (`--verify-collectives`); a mismatch is retried against the
-  /// sender's still-live buffer with capped exponential backoff and
+  /// Checksum every collective payload and steal-channel item
+  /// (`--verify-collectives`); a mismatch is retried against the sender's
+  /// still-live buffer with capped exponential backoff and
   /// escalates to the shrink-and-heal path when the budget exhausts, so the
   /// healed run's seeds equal a failure-free run's exactly.  Defaults from
   /// RIPPLES_VERIFY_COLLECTIVES; imm_distributed only (the shared-memory

@@ -4,8 +4,9 @@
 /// The drivers share the whole checkpoint lifecycle: build a run
 /// fingerprint, open the manager, load-validate-restore on `--resume`, and
 /// snapshot from the martingale round hook.  Only the RNG coordinate layout
-/// differs (per-rank leap-frog streams vs. per-(sample,vertex) counter
-/// keys), so that is the one thing each driver supplies.  See DESIGN.md §9
+/// differs (per-rank leap-frog partitions of the sample indices vs.
+/// per-(sample,vertex) counter keys), so that is the one thing each driver
+/// supplies.  See DESIGN.md §9
 /// for the resume-equivalence argument.
 #ifndef RIPPLES_IMM_IMM_CHECKPOINT_HPP
 #define RIPPLES_IMM_IMM_CHECKPOINT_HPP
@@ -46,7 +47,7 @@ make_run_fingerprint(const char *driver, const CsrGraph &graph,
   fp.l = options.l;
   fp.k = options.k;
   fp.model = static_cast<std::uint8_t>(options.model);
-  fp.rng_mode = static_cast<std::uint8_t>(options.rng_mode);
+  fp.rng_mode = 0; // counter streams; 1 marks a retired leap-frog snapshot
   fp.selection_exchange =
       static_cast<std::uint8_t>(options.selection_exchange);
   fp.selection_topm = options.selection_topm;

@@ -181,15 +181,30 @@ run_imm_martingale(std::uint64_t num_vertices, std::uint32_t k, double epsilon,
 
   if (resume != nullptr && progress.num_samples > 0) {
     // Deterministic replay: regenerate the checkpointed |R| from RNG
-    // coordinates before re-entering the loop.  Attributed to the phase the
-    // killed run was in so resumed reports stay interpretable.
-    ScopedPhase phase(timers, accepted ? Phase::Sample : Phase::EstimateTheta);
+    // coordinates before re-entering the loop.  Each sample is charged to
+    // the phase that first produced it — the estimation rounds' targets
+    // (the first estimation_iterations extend targets) to EstimateTheta, a
+    // post-acceptance theta top-up to Sample — so a resumed run's phases
+    // line up with the uninterrupted run's wherever the kill landed.
+    std::uint64_t estimated = 0;
+    const std::size_t rounds = std::min<std::size_t>(
+        progress.estimation_iterations, progress.extend_targets.size());
+    for (std::size_t i = 0; i < rounds; ++i)
+      estimated = std::max(estimated, progress.extend_targets[i]);
+    estimated = std::min(estimated, progress.num_samples);
     trace::Span span("imm", "imm.resume_replay", "samples",
                      progress.num_samples, "next_round", progress.next_round);
     double wait_before = metrics::thread_collective_wait_seconds();
     StopWatch watch;
     try {
-      extend_to(progress.num_samples);
+      {
+        ScopedPhase phase(timers, Phase::EstimateTheta);
+        extend_to(estimated);
+      }
+      if (progress.num_samples > estimated) {
+        ScopedPhase phase(timers, Phase::Sample);
+        extend_to(progress.num_samples);
+      }
     } catch (const BudgetEarlyStop &stop) {
       early_stopped = true;
       outcome.num_samples = stop.achieved;

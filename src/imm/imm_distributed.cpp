@@ -22,10 +22,10 @@
 /// smallest-id tie-break — is bit-identical to the dense protocol's.
 ///
 /// Self-healing (ImmOptions::recover_failures): because every sample is
-/// addressed by an RNG stream coordinate — leap-frog stream r of the one
-/// global LCG sequence, or the per-index Philox counter stream — a dead
-/// rank's partition is a *recomputable* function of (seed, stream, count),
-/// not unique state.  When a collective raises mpsim::RankFailed the
+/// addressed by its global index — sample i draws from its own Philox
+/// counter stream, and leap-frog stream s owns the indices i ≡ s mod p — a
+/// dead rank's partition is a *recomputable* function of (seed, stream,
+/// count), not unique state.  When a collective raises mpsim::RankFailed the
 /// survivors shrink the communicator, deterministically re-assign the dead
 /// ranks' streams among themselves (round-robin over the dense survivor
 /// order, replayed identically on every rank), regenerate the lost samples
@@ -48,7 +48,6 @@
 #include "imm/select.hpp"
 #include "imm/steal.hpp"
 #include "mpsim/communicator.hpp"
-#include "rng/lcg.hpp"
 #include "support/assert.hpp"
 #include "support/steal_schedule.hpp"
 #include "support/trace.hpp"
@@ -75,11 +74,9 @@ metrics::Counter &stolen_sets_counter() {
   return c;
 }
 
-/// Counter-mode generation at explicit global indices, shared by the
-/// extend and heal paths.  The LeapfrogLcg mode is inherently sequential
-/// per stream (one shared LCG walked draw by draw) and never comes here.
-/// \p governed routes the batch through sample_counter_governed, DESIGN.md
-/// §12's fused-lane rung.
+/// Generation at explicit global indices, shared by the extend and heal
+/// paths.  \p governed routes the batch through sample_counter_governed,
+/// DESIGN.md §12's fused-lane rung.
 std::uint64_t generate_counter_indices(const CsrGraph &graph,
                                        const ImmOptions &options,
                                        std::span<const std::uint64_t> indices,
@@ -110,10 +107,6 @@ std::uint64_t generate_counter_indices(const CsrGraph &graph,
 ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
   RIPPLES_ASSERT(options.num_ranks >= 1);
   RIPPLES_ASSERT(options.num_threads >= 1);
-  RIPPLES_ASSERT_MSG(options.rng_mode == RngMode::CounterSequence ||
-                         options.num_threads == 1,
-                     "leap-frog LCG streams are per-rank sequential; use one "
-                     "thread per rank or CounterSequence mode");
 
   ImmResult result;
   StopWatch total;
@@ -175,11 +168,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       policy.compress = options.rrr_compress;
       policy.hard_refusal = true;
       policy.consumer = "imm_distributed.rrr";
-      // Counter coordinates are replayable, leapfrog engines are not —
-      // scrub follows the same counter-mode-only rule as stealing.
-      policy.scrub = options.rng_mode == RngMode::CounterSequence
-                         ? options.scrub_rrr
-                         : ScrubMode::Off;
+      policy.scrub = options.scrub_rrr;
       store.emplace(policy);
     }
     auto local_size = [&] { return store ? store->size() : local.size(); };
@@ -199,20 +188,9 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     // chunks the survivors already hold.
     std::uint64_t window_target = 0;
 
-    // The streams this rank holds, each with its leap-frog engine
-    // positioned at the stream's next unsampled index (the engine is
-    // unused in counter mode, where every index is independently
-    // addressable).  Initially: exactly this rank's own stream.
-    struct OwnedStream {
-      std::uint64_t stream;
-      Lcg64 engine;
-    };
-    std::vector<OwnedStream> owned;
-    owned.push_back({static_cast<std::uint64_t>(comm.world_rank()),
-                     Lcg64::leapfrog_stream(
-                         options.seed,
-                         static_cast<std::uint64_t>(comm.world_rank()),
-                         stride)});
+    // The streams this rank holds.  Initially: exactly its own stream.
+    std::vector<std::uint64_t> owned{
+        static_cast<std::uint64_t>(comm.world_rank())};
 
     // stream -> world rank currently holding it.  Every rank maintains the
     // full map by replaying the same shrink events with the same
@@ -221,18 +199,13 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     std::vector<int> stream_owner(static_cast<std::size_t>(p));
     for (int s = 0; s < p; ++s) stream_owner[static_cast<std::size_t>(s)] = s;
 
-    // Work-stealing placement (DESIGN.md §13).  Every knob requires the
-    // index-addressable counter streams — under LeapfrogLcg the one global
-    // LCG is walked draw by draw per stream, so stealing and skew are
-    // silent no-ops there (stealing_test pins this).  Inter stealing and
-    // skew additionally require the ungoverned path: budget admission
-    // windows are rank-local, so a migrated chunk would be charged to the
-    // wrong rank's ladder.
-    const bool counter_mode = options.rng_mode == RngMode::CounterSequence;
+    // Work-stealing placement (DESIGN.md §13).  Inter stealing and skew
+    // require the ungoverned path: budget admission windows are rank-local,
+    // so a migrated chunk would be charged to the wrong rank's ladder.
     const bool steal_inter =
-        counter_mode && !store && p > 1 &&
+        !store && p > 1 &&
         (options.steal == StealMode::Inter || options.steal == StealMode::On);
-    const bool skew = options.steal_skew && counter_mode && !store;
+    const bool skew = options.steal_skew && !store;
     // With inter stealing or a skewed partition the stream -> rank map no
     // longer says where samples live, so each rank records the global draw
     // ranges it actually executed; healing then gathers the survivors'
@@ -240,64 +213,26 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     const bool flexible_placement = steal_inter || skew;
     detail::StreamInventory inventory;
 
-    // This rank's slice of the global window [lo, lo + count): the governed
-    // admission batch.  Leap-frog engines are carried across batches —
-    // extend_window walks windows in ascending order, so each engine
-    // resumes exactly where the previous batch left it.
-    auto generate_slice = [&](RRRCollection &scratch, std::uint64_t lo,
-                              std::uint64_t count) {
-      const std::uint64_t hi = lo + count;
-      if (options.rng_mode == RngMode::LeapfrogLcg) {
-        for (OwnedStream &os : owned)
-          sample_leapfrog_range(graph, options.model, os.engine, os.stream,
-                                stride, lo, hi, scratch);
-      } else {
-        std::vector<std::uint64_t> indices;
-        for (const OwnedStream &os : owned)
-          for (std::uint64_t i = leapfrog_first_index(lo, os.stream, stride);
-               i < hi; i += stride)
-            indices.push_back(i);
-        generate_counter_indices(graph, options, indices, scratch,
-                                 /*governed=*/true);
-      }
-    };
-
     auto extend_to = [&](std::uint64_t target) {
       if (target <= global_count) return;
       window_target = target;
-      // Rank-local slice of the batch; the sets arg is attached at the end
-      // because leap-frog generation doesn't know its count upfront.
+      // Rank-local slice of the batch; the sets arg is attached at the end.
       trace::Span batch_span("sampler", "sampler.dist_batch", "target", target);
       if (store) {
-        if (options.rng_mode == RngMode::LeapfrogLcg) {
-          store->extend_window(global_count, target, generate_slice);
-        } else {
-          // Counter mode goes through a per-call generator with the stream
-          // list captured *by value*: the store journals a copy of every
-          // generator for scrub repair, and healing grows `owned` — a
-          // by-reference capture would replay old windows with the new
-          // stream set and break the bit-identical-regeneration contract.
-          std::vector<std::uint64_t> streams;
-          streams.reserve(owned.size());
-          for (const OwnedStream &os : owned) streams.push_back(os.stream);
-          store->extend_window(
-              global_count, target,
-              [&, streams](RRRCollection &scratch, std::uint64_t lo,
-                           std::uint64_t count) {
-                const std::uint64_t hi = lo + count;
-                std::vector<std::uint64_t> indices;
-                for (std::uint64_t s : streams)
-                  for (std::uint64_t i = leapfrog_first_index(lo, s, stride);
-                       i < hi; i += stride)
-                    indices.push_back(i);
-                generate_counter_indices(graph, options, indices, scratch,
-                                         /*governed=*/true);
-              });
-        }
-      } else if (options.rng_mode == RngMode::LeapfrogLcg) {
-        for (OwnedStream &os : owned)
-          sample_leapfrog_range(graph, options.model, os.engine, os.stream,
-                                stride, global_count, target, local);
+        // A per-call generator with the stream list captured *by value*:
+        // the store journals a copy of every generator for scrub repair,
+        // and healing grows `owned` — a by-reference capture would replay
+        // old windows with the new stream set and break the
+        // bit-identical-regeneration contract.
+        store->extend_window(
+            global_count, target,
+            [&, streams = owned](RRRCollection &scratch, std::uint64_t lo,
+                                 std::uint64_t count) {
+              generate_counter_indices(
+                  graph, options,
+                  leapfrog_indices(streams, lo, lo + count, stride), scratch,
+                  /*governed=*/true);
+            });
       } else if (flexible_placement) {
         // Placement-flexible counter generation: this window's draws become
         // chunks keyed by (stream, global-index range).  Under skew the
@@ -313,19 +248,14 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           if (skew)
             for (std::uint64_t s = 0; s < stride; ++s) chunk_stream(s);
           else
-            for (const OwnedStream &os : owned) chunk_stream(os.stream);
+            for (std::uint64_t s : owned) chunk_stream(s);
         }
         // Executing a chunk is executor-independent: the RNG coordinates
         // come from the chunk's global stream indices, so a stolen chunk
         // emits byte-for-byte the sets its home rank would have.
         auto execute_chunk = [&](const detail::ChunkRange &c, bool stolen) {
-          std::vector<std::uint64_t> indices;
-          for (std::uint64_t i =
-                   leapfrog_first_index(c.begin, c.stream, stride);
-               i < c.end; i += stride) {
-            indices.push_back(i);
-            if (stride > ~std::uint64_t{0} - i) break;
-          }
+          const std::vector<std::uint64_t> indices =
+              leapfrog_indices({&c.stream, 1}, c.begin, c.end, stride);
           if (indices.empty()) return;
           // Same category as the enclosing sampler.dist_batch span, so
           // analyze_trace's toplevel-coverage invariants see one batch.
@@ -381,16 +311,12 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           }
         }
       } else {
-        // Counter mode: per-sample Philox streams keyed by the global index,
-        // so R is independent of p; local generation may additionally use
-        // OpenMP threads (the paper's hybrid MPI+OpenMP configuration).
-        std::vector<std::uint64_t> indices;
-        for (const OwnedStream &os : owned)
-          for (std::uint64_t i =
-                   leapfrog_first_index(global_count, os.stream, stride);
-               i < target; i += stride)
-            indices.push_back(i);
-        generate_counter_indices(graph, options, indices, local);
+        // Per-sample Philox streams keyed by the global index, so R is
+        // independent of p; local generation may additionally use OpenMP
+        // threads (the paper's hybrid MPI+OpenMP configuration).
+        generate_counter_indices(
+            graph, options, leapfrog_indices(owned, global_count, target, stride),
+            local);
       }
       global_count = target;
       batch_span.arg("local_sets", local_size());
@@ -593,9 +519,7 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           const std::uint64_t s = lost[j];
           const int new_holder = shrink.members[j % shrink.members.size()];
           stream_owner[static_cast<std::size_t>(s)] = new_holder;
-          if (new_holder == comm.world_rank())
-            owned.push_back({s, Lcg64::leapfrog_stream(options.seed, s,
-                                                       stride)});
+          if (new_holder == comm.world_rank()) owned.push_back(s);
         }
         // Heal to the *in-flight* window target, not just the last completed
         // one: a corruption escalation can abort the drain loop mid-window,
@@ -613,13 +537,9 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           if (stream_owner[static_cast<std::size_t>(m.stream)] !=
               comm.world_rank())
             continue;
-          std::vector<std::uint64_t> indices;
-          for (std::uint64_t i =
-                   leapfrog_first_index(m.begin, m.stream, stride);
-               i < m.end; i += stride)
-            indices.push_back(i);
-          regenerated += generate_counter_indices(graph, options, indices,
-                                                  local);
+          regenerated += generate_counter_indices(
+              graph, options,
+              leapfrog_indices({&m.stream, 1}, m.begin, m.end, stride), local);
           inventory.add(m.stream, m.begin, m.end);
         }
         global_count = heal_target;
@@ -633,54 +553,31 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
         const int new_holder = shrink.members[j % shrink.members.size()];
         stream_owner[static_cast<std::size_t>(s)] = new_holder;
         if (new_holder != comm.world_rank()) continue;
-        Lcg64 engine = Lcg64::leapfrog_stream(options.seed, s, stride);
         if (store) {
           // Governed healing: the adopted stream's regeneration is admitted
           // through the same budget-charged ladder as fresh sampling —
           // composition means an adopting rank can itself be refused, and
           // the refusal is the same diagnosed failure as anywhere else.
-          // Counter mode captures the stream id by value: the journalled
-          // generator copy outlives this loop iteration (scrub replay).
-          if (options.rng_mode == RngMode::LeapfrogLcg) {
-            store->extend_window(
-                0, global_count,
-                [&](RRRCollection &scratch, std::uint64_t lo,
-                    std::uint64_t count) {
-                  regenerated += sample_leapfrog_range(graph, options.model,
-                                                       engine, s, stride, lo,
-                                                       lo + count, scratch);
-                });
-          } else {
-            // Pure function of the window — no capture of heal-scope
-            // locals beyond the value-copied stream id, so the journalled
-            // copy stays valid for scrub replay after heal() returns.
-            store->extend_window(
-                0, global_count,
-                [&graph, &options, s, stride](RRRCollection &scratch,
-                                              std::uint64_t lo,
-                                              std::uint64_t count) {
-                  const std::uint64_t hi = lo + count;
-                  std::vector<std::uint64_t> indices;
-                  for (std::uint64_t i = leapfrog_first_index(lo, s, stride);
-                       i < hi; i += stride)
-                    indices.push_back(i);
-                  generate_counter_indices(graph, options, indices, scratch,
-                                           /*governed=*/true);
-                });
-            if (s < global_count)
-              regenerated += (global_count - s + stride - 1) / stride;
-          }
-        } else if (options.rng_mode == RngMode::LeapfrogLcg) {
-          regenerated += sample_leapfrog_range(graph, options.model, engine, s,
-                                               stride, 0, global_count, local);
+          // Pure function of the window — no capture of heal-scope locals
+          // beyond the value-copied stream id, so the journalled copy stays
+          // valid for scrub replay after heal() returns.
+          store->extend_window(
+              0, global_count,
+              [&graph, &options, s, stride](RRRCollection &scratch,
+                                            std::uint64_t lo,
+                                            std::uint64_t count) {
+                generate_counter_indices(
+                    graph, options, leapfrog_indices({&s, 1}, lo, lo + count, stride),
+                    scratch, /*governed=*/true);
+              });
+          if (s < global_count)
+            regenerated += (global_count - s + stride - 1) / stride;
         } else {
-          std::vector<std::uint64_t> indices;
-          for (std::uint64_t i = s; i < global_count; i += stride)
-            indices.push_back(i);
-          regenerated += generate_counter_indices(graph, options, indices,
-                                                  local);
+          regenerated += generate_counter_indices(
+              graph, options, leapfrog_indices({&s, 1}, 0, global_count, stride),
+              local);
         }
-        owned.push_back({s, engine});
+        owned.push_back(s);
       }
       if (metrics::enabled()) regen_counter().add(regenerated);
       span.arg("regenerated", regenerated);

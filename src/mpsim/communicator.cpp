@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -22,14 +21,9 @@ const char *to_string(Collective collective) {
   switch (collective) {
   case Collective::Barrier: return "barrier";
   case Collective::Allreduce: return "allreduce";
-  case Collective::Reduce: return "reduce";
   case Collective::Broadcast: return "broadcast";
   case Collective::Allgather: return "allgather";
-  case Collective::Gather: return "gather";
-  case Collective::Scatter: return "scatter";
   case Collective::Allgatherv: return "allgatherv";
-  case Collective::Send: return "send";
-  case Collective::Recv: return "recv";
   case Collective::Steal: return "steal";
   }
   return "?";
@@ -266,26 +260,7 @@ private:
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Rendezvous channel for one (source, destination) pair: the sender posts
-/// a pointer and blocks until the receiver has copied the payload.
-struct Mailbox {
-  std::mutex mutex;
-  std::condition_variable cv;
-  const void *data = nullptr;
-  std::size_t bytes = 0;
-  /// Producer CRC over the posted payload (0 when integrity is inactive).
-  std::uint32_t crc = 0;
-  /// Injection directives riding with the current message, set by the
-  /// sender at post time: the receiver flips one bit of its copy while
-  /// attempt <= inject_corrupt_attempts, and treats the checksum as failed
-  /// while attempt <= inject_flaky_attempts — modelling a dirty link whose
-  /// retransmissions heal (or, when sticky, never do).
-  std::uint64_t inject_corrupt_attempts = 0;
-  std::uint64_t inject_flaky_attempts = 0;
-  bool posted = false;
-};
-
-/// One rank's published stealable work.  Unlike the mailboxes, the steal
+/// One rank's published stealable work.  Unlike the collectives, the steal
 /// queues never rendezvous: a publish replaces the owner's queue, pops and
 /// steals are lock-then-go, and nobody ever waits on a queue — which is why
 /// a dead rank's queue stays safely readable for the rest of the window.
@@ -312,18 +287,10 @@ struct SharedState {
         pointers(static_cast<std::size_t>(world_size), nullptr),
         sizes(static_cast<std::size_t>(world_size), 0),
         crcs(static_cast<std::size_t>(world_size), 0),
-        mailboxes(static_cast<std::size_t>(world_size) *
-                  static_cast<std::size_t>(world_size)),
         steal_queues(static_cast<std::size_t>(world_size)),
         in_barrier(static_cast<std::size_t>(world_size), 0),
         in_shrink(static_cast<std::size_t>(world_size), 0),
         alive(static_cast<std::size_t>(world_size), 1), live(world_size) {}
-
-  Mailbox &mailbox(int source, int destination) {
-    return mailboxes[static_cast<std::size_t>(source) *
-                         static_cast<std::size_t>(world_size) +
-                     static_cast<std::size_t>(destination)];
-  }
 
   /// First-exception protocol: flips the abort flag and wakes every blocked
   /// waiter so peers unwind promptly instead of riding out the timed waits.
@@ -402,29 +369,14 @@ struct SharedState {
         dead_order.end()));
   }
 
-  /// Snapshot variant for waiters that do not hold the central mutex (the
-  /// mailbox paths, which hold only their box mutex).
-  [[nodiscard]] RankFailed rank_failed_since(std::size_t acked) {
-    std::lock_guard<std::mutex> lock(mutex);
-    return rank_failed_since_locked(acked);
-  }
-
   void wake_everyone() {
-    // The empty lock/unlock before each notify serializes with waiters'
+    // The empty lock/unlock before the notify serializes with waiters'
     // predicate checks: a waiter either observes the updated state before
-    // blocking or is woken by the notify.  Never hold the central mutex
-    // while taking a mailbox mutex (mailbox waiters lock them the other
-    // way around via rank_failed_since).
+    // blocking or is woken by the notify.
     {
       std::lock_guard<std::mutex> lock(mutex);
     }
     cv.notify_all();
-    for (Mailbox &box : mailboxes) {
-      {
-        std::lock_guard<std::mutex> lock(box.mutex);
-      }
-      box.cv.notify_all();
-    }
   }
 
   const RunOptions options;
@@ -437,12 +389,11 @@ struct SharedState {
   std::vector<const void *> pointers;
   std::vector<std::size_t> sizes;
   std::vector<std::uint32_t> crcs;
-  std::vector<Mailbox> mailboxes;
   std::vector<StealQueue> steal_queues;
 
   // Central mutex: guards the generation barrier, the shrink barrier, and
   // the membership ledger below.  `aborted` and `dead_count` double as
-  // lock-free mirrors for the mailbox wait loops.
+  // lock-free mirrors for the injected-stall loop in begin_collective.
   std::mutex mutex;
   std::condition_variable cv;
 
@@ -503,7 +454,7 @@ std::uint64_t Communicator::begin_collective(Collective collective) {
       // them by design, so skip rather than fall through to the stall path.
       if (fault.kind == FaultSpec::Kind::Oom) continue;
       // Payload faults (corrupt/flaky) fire inside the exchange itself —
-      // post_payload and the mailbox/steal paths consult injection_at() —
+      // post_payload and the steal paths consult injection_at() —
       // so the entry hook leaves them alone.
       if (fault.kind == FaultSpec::Kind::Corrupt ||
           fault.kind == FaultSpec::Kind::Flaky)
@@ -871,208 +822,6 @@ void Communicator::finish_unverified(void *inplace_result, std::size_t bytes) {
     std::memcpy(inplace_result, staging_.data(), bytes);
 }
 
-void Communicator::send_bytes(const void *data, std::size_t bytes,
-                              int destination) {
-  RIPPLES_ASSERT(destination >= 0 && destination < size());
-  RIPPLES_ASSERT_MSG(destination != my_index_, "self-send would deadlock");
-  const int dest_world = members_[static_cast<std::size_t>(destination)];
-  const std::uint64_t site = begin_collective(Collective::Send);
-  record(Collective::Send, bytes);
-  trace::Span span("mpsim", "mpsim.send", "bytes", bytes, "peer",
-                   static_cast<std::uint64_t>(dest_world));
-  detail::Mailbox &box = shared_.mailbox(world_rank_, dest_world);
-  std::unique_lock<std::mutex> lock(box.mutex);
-  detail::PollBackoff backoff;
-  detail::WatchdogClock watchdog(shared_.options.watchdog);
-
-  // These loops hold only the mailbox mutex, so failure checks go through
-  // the lock-free mirrors (aborted, dead_count); the central mutex is taken
-  // — after dropping the box lock, to keep lock order acyclic — only to
-  // snapshot the dead set for the exception.  The self-alive check matters
-  // here: a receiver that exhausted its retry budget against this sender's
-  // corruption declares *us* dead, and a declared-dead rank must unwind as
-  // a casualty, never join a shrink.
-  auto throw_failed = [&] {
-    lock.unlock();
-    std::lock_guard<std::mutex> central(shared_.mutex);
-    if (!shared_.alive[static_cast<std::size_t>(world_rank_)])
-      throw declared_dead_error(world_rank_);
-    throw shared_.rank_failed_since_locked(acked_deaths_);
-  };
-  auto throw_timeout = [&] {
-    if (metrics::enabled()) timeouts_counter().increment();
-    throw CollectiveTimeout("send", site, {dest_world}, watchdog.elapsed());
-  };
-
-  // Wait for the previous message on this channel to be consumed.
-  while (box.posted) {
-    if (shared_.aborted.load(std::memory_order_acquire)) throw RankAborted();
-    if (shared_.dead_count.load(std::memory_order_acquire) > acked_deaths_)
-      throw_failed();
-    if (watchdog.expired()) throw_timeout();
-    box.cv.wait_for(lock, watchdog.clamp(backoff.next()));
-  }
-  if (shared_.aborted.load(std::memory_order_acquire)) throw RankAborted();
-  if (shared_.dead_count.load(std::memory_order_acquire) > acked_deaths_)
-    throw_failed();
-  const FaultSpec *injection = injection_at(site);
-  box.data = data;
-  box.bytes = bytes;
-  box.crc = (verify_enabled() || injection != nullptr)
-                ? payload_crc(data, bytes)
-                : 0;
-  // Sender-side injection rides with the message as a directive: the
-  // rendezvous gives the receiver the sender's *live* buffer, so a flip
-  // must happen on the receiving side (the sender's bytes stay clean for
-  // the retransmits that model the retry healing).
-  box.inject_corrupt_attempts = 0;
-  box.inject_flaky_attempts = 0;
-  if (injection != nullptr && injection->kind == FaultSpec::Kind::Corrupt)
-    box.inject_corrupt_attempts =
-        injection->sticky ? std::numeric_limits<std::uint64_t>::max() : 1;
-  else if (injection != nullptr && injection->kind == FaultSpec::Kind::Flaky)
-    box.inject_flaky_attempts = injection->attempts;
-  box.posted = true;
-  box.cv.notify_all();
-  // Rendezvous: return only after the receiver copied the payload.  If the
-  // receiver dies first, the posted pointer must be withdrawn before this
-  // stack frame unwinds.
-  while (box.posted) {
-    if (shared_.aborted.load(std::memory_order_acquire)) {
-      box.posted = false;
-      box.data = nullptr;
-      throw RankAborted();
-    }
-    if (shared_.dead_count.load(std::memory_order_acquire) > acked_deaths_) {
-      box.posted = false;
-      box.data = nullptr;
-      throw_failed();
-    }
-    if (watchdog.expired()) {
-      box.posted = false;
-      box.data = nullptr;
-      throw_timeout();
-    }
-    box.cv.wait_for(lock, watchdog.clamp(backoff.next()));
-  }
-}
-
-void Communicator::recv_bytes(void *buffer, std::size_t bytes, int source) {
-  RIPPLES_ASSERT(source >= 0 && source < size());
-  RIPPLES_ASSERT_MSG(source != my_index_, "self-receive would deadlock");
-  const int source_world = members_[static_cast<std::size_t>(source)];
-  const std::uint64_t site = begin_collective(Collective::Recv);
-  record(Collective::Recv, bytes);
-  trace::Span span("mpsim", "mpsim.recv", "bytes", bytes, "peer",
-                   static_cast<std::uint64_t>(source_world));
-  const FaultSpec *own = injection_at(site);
-  detail::Mailbox &box = shared_.mailbox(source_world, world_rank_);
-  std::unique_lock<std::mutex> lock(box.mutex);
-  detail::PollBackoff backoff;
-  detail::WatchdogClock watchdog(shared_.options.watchdog);
-  for (int attempt = 1;; ++attempt) {
-    while (!box.posted) {
-      if (shared_.aborted.load(std::memory_order_acquire)) throw RankAborted();
-      if (shared_.dead_count.load(std::memory_order_acquire) > acked_deaths_) {
-        lock.unlock();
-        std::lock_guard<std::mutex> central(shared_.mutex);
-        if (!shared_.alive[static_cast<std::size_t>(world_rank_)])
-          throw declared_dead_error(world_rank_);
-        throw shared_.rank_failed_since_locked(acked_deaths_);
-      }
-      if (watchdog.expired()) {
-        if (metrics::enabled()) timeouts_counter().increment();
-        throw CollectiveTimeout("recv", site, {source_world},
-                                watchdog.elapsed());
-      }
-      box.cv.wait_for(lock, watchdog.clamp(backoff.next()));
-    }
-    RIPPLES_ASSERT_MSG(box.bytes == bytes,
-                       "recv buffer size must match the sent payload");
-    if (bytes > 0) std::memcpy(buffer, box.data, bytes);
-    // Dirty-link injection lands on the receiving copy: this rank's own
-    // planned corruption, or the sender's posted directive.  One flip even
-    // when both are active — two flips at the same bit would cancel.
-    const bool own_corrupt = own != nullptr &&
-                             own->kind == FaultSpec::Kind::Corrupt &&
-                             (attempt == 1 || own->sticky);
-    const bool link_corrupt =
-        static_cast<std::uint64_t>(attempt) <= box.inject_corrupt_attempts;
-    if ((own_corrupt || link_corrupt) && bytes > 0) {
-      const std::uint64_t bit = site % (static_cast<std::uint64_t>(bytes) * 8);
-      static_cast<std::uint8_t *>(buffer)[bit / 8] ^=
-          static_cast<std::uint8_t>(1u << (bit % 8));
-      if (metrics::enabled()) injected_corruptions_counter().increment();
-      trace::instant("mpsim", "mpsim.fault_corrupt", "rank",
-                     static_cast<std::uint64_t>(world_rank_), "site", site);
-    }
-    auto consume = [&] {
-      box.posted = false;
-      box.data = nullptr;
-      box.cv.notify_all();
-    };
-    if (!verify_enabled()) {
-      // Unverified: whatever the copy now holds is the message.  Injected
-      // corruption is deliberately silent here — the wrong bytes reach the
-      // caller, which is exactly what the verification layer exists to stop.
-      consume();
-      return;
-    }
-    const bool own_flaky = own != nullptr &&
-                           own->kind == FaultSpec::Kind::Flaky &&
-                           static_cast<std::uint64_t>(attempt) <= own->attempts;
-    const bool link_flaky =
-        static_cast<std::uint64_t>(attempt) <= box.inject_flaky_attempts;
-    bool corrupt;
-    if (own_flaky || link_flaky) {
-      corrupt = true;
-      if (metrics::enabled()) injected_flaky_counter().increment();
-      trace::instant("mpsim", "mpsim.fault_flaky", "rank",
-                     static_cast<std::uint64_t>(world_rank_), "site", site);
-    } else {
-      if (metrics::enabled()) integrity_checks_counter().increment();
-      corrupt = payload_crc(buffer, bytes) != box.crc;
-    }
-    if (!corrupt) {
-      consume();
-      return;
-    }
-    if (metrics::enabled()) integrity_detections_counter().increment();
-    trace::instant("mpsim", "mpsim.payload_corrupt", "site", site, "attempt",
-                   static_cast<std::uint64_t>(attempt));
-    if (attempt == kMaxVerifyAttempts) {
-      if (metrics::enabled()) integrity_escalations_counter().increment();
-      trace::instant("mpsim", "mpsim.corruption_escalated", "site", site,
-                     "rank", static_cast<std::uint64_t>(world_rank_));
-      // Attribution: a sticky fault on this rank's own recv site (or its
-      // own still-failing flaky) is self-inflicted; otherwise the sender
-      // produced the bad bytes and is escalated like any corrupter.
-      const bool self_inflicted =
-          own_flaky || (own != nullptr &&
-                        own->kind == FaultSpec::Kind::Corrupt && own->sticky);
-      if (self_inflicted)
-        throw PayloadCorrupt("recv", site, world_rank_, attempt);
-      if (shared_.options.recover) {
-        lock.unlock();
-        std::unique_lock<std::mutex> central(shared_.mutex);
-        shared_.mark_dead_locked(source_world);
-        RankFailed failure = shared_.rank_failed_since_locked(acked_deaths_);
-        central.unlock();
-        shared_.wake_everyone();
-        throw failure;
-      }
-      throw PayloadCorrupt("send", site, source_world, attempt);
-    }
-    // Retry against the sender's still-posted buffer (the rendezvous keeps
-    // it live until we consume), off the lock so the sender's own failure
-    // checks stay responsive.
-    lock.unlock();
-    note_retry(Collective::Recv, site, attempt);
-    backoff_sleep(attempt);
-    lock.lock();
-  }
-}
-
 // --- Steal channel ----------------------------------------------------------
 //
 // Nonblocking by construction: every operation is lock-then-go on one queue
@@ -1359,7 +1108,7 @@ void Context::run(const RunOptions &options_in,
         shared.mark_dead(comm.world_rank());
       } else {
         // Wake and unwind every peer: a blocked rank would otherwise wait
-        // forever for this rank's next barrier arrival or message.
+        // forever for this rank's next barrier arrival.
         shared.abort();
       }
     }

@@ -11,11 +11,15 @@
 ///  * `allreduce`  — MPI_Allreduce: element-wise reduction of equal-length
 ///    buffers, result visible to every rank (the paper's dominant
 ///    communication, one n-length Sum allreduce per selected seed);
-///  * `reduce`     — MPI_Reduce (root only);
 ///  * `broadcast`  — MPI_Bcast from a root rank;
 ///  * `allgather`  — MPI_Allgather of one value per rank;
 ///  * `allgatherv` — MPI_Allgatherv of variable-length per-rank vectors;
 ///  * `barrier`    — MPI_Barrier.
+///
+/// These are exactly the operations the drivers call; there is no rooted
+/// reduction, gather or scatter and no point-to-point messaging, so every
+/// blocking wait in the runtime is a collective rendezvous.  (The
+/// nonblocking steal channel below is the one non-collective exchange.)
 ///
 /// Every collective must be called by all live ranks of the communicator in
 /// the same order (exactly MPI's contract).  Element types must be
@@ -45,7 +49,7 @@
 ///     diagnosed `CollectiveTimeout` naming the site, the laggard ranks,
 ///     and the elapsed time instead of blocking forever.
 ///  4. *Integrity* (RunOptions::verify_collectives, default off): every
-///     payload — collective buffers, mailbox messages, steal items —
+///     payload — collective buffers and steal items —
 ///     carries a CRC-32 published by its producer and recomputed by every
 ///     consumer before any byte is acted on.  A mismatch triggers a
 ///     bounded, deterministic retry with capped exponential backoff
@@ -80,7 +84,7 @@ namespace ripples::mpsim {
 
 enum class ReduceOp { Sum, Max, Min };
 
-/// Thrown out of a collective (or point-to-point wait) on every surviving
+/// Thrown out of a collective on every surviving
 /// rank when a peer rank failed with an exception and recovery is disabled:
 /// instead of deadlocking in a barrier the dead rank will never reach,
 /// peers unwind with RankAborted and Context::run rethrows the peer's
@@ -152,18 +156,13 @@ private:
 enum class Collective : std::size_t {
   Barrier = 0,
   Allreduce,
-  Reduce,
   Broadcast,
   Allgather,
-  Gather,
-  Scatter,
   Allgatherv,
-  Send,
-  Recv,
   Steal,
 };
 
-inline constexpr std::size_t kNumCollectives = 11;
+inline constexpr std::size_t kNumCollectives = 6;
 
 [[nodiscard]] const char *to_string(Collective collective);
 
@@ -230,8 +229,8 @@ struct RunOptions {
   /// marks the laggards dead and raises RankFailed, routing them through the
   /// same shrink/heal path a crash takes instead of aborting the run with a
   /// CollectiveTimeout diagnosis.  Requires `recover` and a nonzero
-  /// watchdog; only the generation-barrier waits evict (the shrink and
-  /// mailbox watchdogs stay diagnose-only — see sync()).
+  /// watchdog; only the generation-barrier waits evict (the shrink
+  /// watchdog stays diagnose-only — see sync()).
   bool evict_stalled = false;
   /// Checksummed exchanges: every payload carries a producer CRC-32 that
   /// consumers recompute before use, with retry/backoff on mismatch and
@@ -284,22 +283,7 @@ public:
                      buffer.size() * sizeof(T));
     exchange(Collective::Allreduce, site, buffer.data(),
              buffer.size() * sizeof(T), buffer.data(), [&] {
-               combine_slices<T>(buffer, op, /*all_ranks_receive=*/true);
-             });
-  }
-
-  /// MPI_Reduce: as allreduce, but only \p root's buffer receives the result;
-  /// other ranks' buffers are left untouched.  \p root is a dense rank.
-  template <typename T> void reduce(std::span<T> buffer, ReduceOp op, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    RIPPLES_ASSERT(root >= 0 && root < size());
-    const std::uint64_t site = begin_collective(Collective::Reduce);
-    record(Collective::Reduce, buffer.size() * sizeof(T));
-    trace::Span span("mpsim", "mpsim.reduce", "bytes",
-                     buffer.size() * sizeof(T));
-    exchange(Collective::Reduce, site, buffer.data(), buffer.size() * sizeof(T),
-             my_index_ == root ? buffer.data() : nullptr, [&] {
-               combine_slices<T>(buffer, op, /*all_ranks_receive=*/false, root);
+               combine_slices<T>(buffer, op);
              });
   }
 
@@ -334,66 +318,6 @@ public:
         std::memcpy(&gathered[i], peer_pointer(members_[i]), sizeof(T));
     });
     return gathered;
-  }
-
-  /// MPI_Gather of one value per rank: root receives the values in dense
-  /// rank order; other ranks receive an empty vector.
-  template <typename T> std::vector<T> gather(const T &value, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    RIPPLES_ASSERT(root >= 0 && root < size());
-    const std::uint64_t site = begin_collective(Collective::Gather);
-    record(Collective::Gather, sizeof(T));
-    trace::Span span("mpsim", "mpsim.gather", "bytes", sizeof(T));
-    std::vector<T> gathered;
-    exchange(Collective::Gather, site, &value, sizeof(T), nullptr, [&] {
-      if (my_index_ == root) {
-        gathered.resize(members_.size());
-        for (std::size_t i = 0; i < members_.size(); ++i)
-          std::memcpy(&gathered[i], peer_pointer(members_[i]), sizeof(T));
-      }
-    });
-    return gathered;
-  }
-
-  /// MPI_Scatter: root provides size() values; every rank receives the one
-  /// at its own dense index.  Non-root ranks may pass an empty span.
-  template <typename T> T scatter(std::span<const T> values, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    RIPPLES_ASSERT(root >= 0 && root < size());
-    if (my_index_ == root)
-      RIPPLES_ASSERT_MSG(values.size() == members_.size(),
-                         "scatter requires one value per rank at the root");
-    const std::uint64_t site = begin_collective(Collective::Scatter);
-    record(Collective::Scatter, sizeof(T));
-    trace::Span span("mpsim", "mpsim.scatter", "bytes", sizeof(T));
-    T mine;
-    exchange(Collective::Scatter, site, values.data(),
-             values.size() * sizeof(T), nullptr, [&] {
-               std::memcpy(
-                   &mine,
-                   static_cast<const T *>(peer_pointer(
-                       members_[static_cast<std::size_t>(root)])) +
-                       my_index_,
-                   sizeof(T));
-             });
-    return mine;
-  }
-
-  /// MPI_Send (rendezvous semantics): blocks until the matching recv has
-  /// copied the payload.  Messages between one (source, destination) pair
-  /// are delivered in order; mismatched send/recv sequences deadlock,
-  /// exactly like unbuffered MPI.  \p destination is a dense rank.
-  template <typename T> void send(std::span<const T> data, int destination) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(data.data(), data.size() * sizeof(T), destination);
-  }
-
-  /// MPI_Recv: blocks until the matching send arrives, then copies it into
-  /// \p buffer.  The payload byte count must match the buffer exactly
-  /// (checked), mirroring a typed MPI receive.  \p source is a dense rank.
-  template <typename T> void recv(std::span<T> buffer, int source) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    recv_bytes(buffer.data(), buffer.size() * sizeof(T), source);
   }
 
   /// MPI_Allgatherv: concatenates the per-rank vectors in dense rank order.
@@ -510,8 +434,6 @@ private:
   void post_pointer(const void *data, std::size_t bytes);
   [[nodiscard]] const void *peer_pointer(int world_peer) const;
   [[nodiscard]] std::size_t peer_size(int world_peer) const;
-  void send_bytes(const void *data, std::size_t bytes, int destination);
-  void recv_bytes(void *buffer, std::size_t bytes, int source);
 
   // --- integrity layer (DESIGN.md §14) ---------------------------------------
 
@@ -604,11 +526,9 @@ private:
   }
 
   /// Each rank reduces a disjoint slice of the index space across all live
-  /// rank buffers and writes the result into the receiving buffers.  Safe
-  /// without locks: slices are disjoint and a barrier precedes/follows.
-  template <typename T>
-  void combine_slices(std::span<T> buffer, ReduceOp op, bool all_ranks_receive,
-                      int root = 0) {
+  /// rank buffers and writes the result into every buffer.  Safe without
+  /// locks: slices are disjoint and a barrier precedes/follows.
+  template <typename T> void combine_slices(std::span<T> buffer, ReduceOp op) {
     const std::size_t len = buffer.size();
     const auto p = members_.size();
     const auto me = static_cast<std::size_t>(my_index_);
@@ -627,12 +547,7 @@ private:
       T acc = sources[0][i];
       for (std::size_t r = 1; r < p; ++r)
         acc = detail::combine(op, acc, sources[r][i]);
-      if (all_ranks_receive) {
-        for (std::size_t r = 0; r < p; ++r)
-          const_cast<T *>(sources[r])[i] = acc;
-      } else {
-        const_cast<T *>(sources[static_cast<std::size_t>(root)])[i] = acc;
-      }
+      for (std::size_t r = 0; r < p; ++r) const_cast<T *>(sources[r])[i] = acc;
     }
   }
 
@@ -664,7 +579,7 @@ public:
   ///
   /// Failure protocol (recovery disabled): when any rank throws, a shared
   /// abort flag is raised and every peer blocked in (or later entering) a
-  /// collective or point-to-point wait unwinds with RankAborted — real MPI
+  /// collective unwinds with RankAborted — real MPI
   /// would deadlock here; the in-process runtime can do better.  run() then
   /// rethrows the failing rank's original exception.  RankAborted escaping
   /// a rank_main is absorbed by the protocol, never rethrown in place of

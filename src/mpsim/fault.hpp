@@ -6,7 +6,8 @@
 /// occurs under real hardware faults cannot be regression-tested.  The fault
 /// plan turns every failure scenario into a reproducible experiment: a plan
 /// names a (rank, site) coordinate — site N is the Nth communication
-/// operation (collective or point-to-point) *that rank* enters — and a kind:
+/// operation (collective or steal-channel site) *that rank* enters — and a
+/// kind:
 ///
 ///  * `crash` — the rank throws `InjectedFault` at the site, exactly as if
 ///    user code had failed there (OOM, assertion, hardware fault).  With
@@ -61,8 +62,8 @@
 namespace ripples::mpsim {
 
 /// One planned fault: rank \p rank fails at its \p site-th communication
-/// entry (0-based, counted per rank over collectives and point-to-point
-/// operations alike).
+/// entry (0-based, counted per rank over collectives and steal-channel
+/// sites alike).
 struct FaultSpec {
   enum class Kind { Crash, Stall, Oom, Corrupt, Flaky };
 

@@ -1,8 +1,8 @@
 /// \file integrity.hpp
 /// \brief Payload-integrity primitives for the mpsim runtime (DESIGN.md §14).
 ///
-/// With `--verify-collectives` every collective payload, mailbox message,
-/// and steal-channel item carries a CRC-32 (the checkpoint kernel from
+/// With `--verify-collectives` every collective payload and steal-channel
+/// item carries a CRC-32 (the checkpoint kernel from
 /// support/checkpoint.hpp) computed by the producer before publication and
 /// recomputed by every consumer before any byte is used.  A mismatch is
 /// never acted on silently: the consumer quiesces the exchange, sleeps a

@@ -84,6 +84,8 @@ struct RunFingerprint {
   double l = 0.0;
   std::uint32_t k = 0;
   std::uint8_t model = 0;
+  /// Always 0 (per-sample counter streams).  Snapshots written by the
+  /// retired driver-level leap-frog LCG mode carry 1 and are refused.
   std::uint8_t rng_mode = 0;
   std::uint8_t selection_exchange = 0;
   std::uint32_t selection_topm = 0;

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -45,15 +46,30 @@ CommandLine::CommandLine(int argc, const char *const *argv) {
 }
 
 std::optional<std::string> CommandLine::value_of(const std::string &name) const {
+  declared_.push_back(name);
   for (const Option &opt : options_)
     if (opt.name == name && opt.has_value) return opt.value;
   return std::nullopt;
 }
 
 bool CommandLine::has_flag(const std::string &name) const {
+  declared_.push_back(name);
   for (const Option &opt : options_)
     if (opt.name == name) return true;
   return false;
+}
+
+void CommandLine::reject_unknown() const {
+  bool unknown = false;
+  for (const Option &opt : options_) {
+    if (std::find(declared_.begin(), declared_.end(), opt.name) !=
+        declared_.end())
+      continue;
+    std::fprintf(stderr, "%s: unknown option --%s\n", program_.c_str(),
+                 opt.name.c_str());
+    unknown = true;
+  }
+  if (unknown) std::exit(2);
 }
 
 std::string CommandLine::get(const std::string &name,

@@ -17,18 +17,20 @@
 
 namespace ripples {
 
-/// Parses argv once and answers typed lookups.  Unknown options are
-/// collected so a program can reject typos.
+/// Parses argv once and answers typed lookups.  Every name a lookup asks
+/// for is recorded, so a program that has read all the options it accepts
+/// can reject the rest (typos, retired options) with reject_unknown().
 class CommandLine {
 public:
   CommandLine(int argc, const char *const *argv);
 
-  /// Declares an option (for --help and unknown-option detection) and
-  /// returns its value if present.
+  /// Declares an option (for unknown-option detection) and returns its value
+  /// if present.
   [[nodiscard]] std::optional<std::string>
   value_of(const std::string &name) const;
 
-  /// True if `--name` appears (with or without a value).
+  /// Declares an option and reports whether `--name` appears (with or
+  /// without a value).
   [[nodiscard]] bool has_flag(const std::string &name) const;
 
   /// Typed getters with defaults.  Malformed numbers terminate with a
@@ -52,6 +54,12 @@ public:
                                          std::int64_t lo,
                                          std::int64_t hi) const;
 
+  /// Terminates with exit code 2 and one diagnostic line per option given
+  /// on the command line that no lookup has declared.  Call it once every
+  /// option the program accepts — conditional ones included — has been
+  /// looked up, and before any expensive work starts.
+  void reject_unknown() const;
+
   /// Positional (non-option) arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string> &positional() const {
     return positional_;
@@ -68,6 +76,8 @@ private:
 
   std::string program_;
   std::vector<Option> options_;
+  /// Names declared by lookups so far (lookups are logically const).
+  mutable std::vector<std::string> declared_;
   std::vector<std::string> positional_;
 };
 

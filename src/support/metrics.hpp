@@ -298,6 +298,8 @@ struct RunReport {
   std::uint64_t seed = 0;
   unsigned num_threads = 1;
   int num_ranks = 1;
+  /// Always "counter" since the driver-level leap-frog LCG mode was
+  /// retired; kept so schema-v8 reports stay comparable.
   std::string rng_mode;
   /// Enforced RRR reservation budget in bytes (0 = unlimited) and the
   /// compression policy ("auto"/"always"/"off") the run executed under.

@@ -4,13 +4,14 @@
 // the end-to-end guarantee that a run killed at ANY martingale round and
 // resumed with checkpoint::Options::resume produces byte-identical seeds,
 // theta, and coverage to the uninterrupted run — across driver x ranks x
-// RNG mode x selection-exchange, and composed with PR 3's fault healing.
+// diffusion model x selection-exchange, and composed with fault healing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -298,13 +299,16 @@ TEST(CheckpointEnv, OptionsComeFromTheEnvironment) {
 
 // --- kill/resume equivalence -------------------------------------------------
 
-CsrGraph checkpoint_graph() {
+CsrGraph checkpoint_graph(
+    DiffusionModel model = DiffusionModel::IndependentCascade) {
   CsrGraph graph(barabasi_albert(300, 3, 7));
   assign_uniform_weights(graph, 13);
+  if (model == DiffusionModel::LinearThreshold)
+    renormalize_linear_threshold(graph);
   return graph;
 }
 
-using ResumeCell = std::tuple<const char *, int, RngMode, SelectionExchange>;
+using ResumeCell = std::tuple<const char *, int, SelectionExchange>;
 
 ImmOptions cell_options(const ResumeCell &cell) {
   ImmOptions options;
@@ -313,8 +317,7 @@ ImmOptions cell_options(const ResumeCell &cell) {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 2019;
   options.num_ranks = std::get<1>(cell);
-  options.rng_mode = std::get<2>(cell);
-  options.selection_exchange = std::get<3>(cell);
+  options.selection_exchange = std::get<2>(cell);
   options.checkpoint = {}; // isolate from any ambient RIPPLES_CHECKPOINT_*
   return options;
 }
@@ -334,7 +337,23 @@ void expect_identical_outcome(const ImmResult &resumed, const ImmResult &clean,
   EXPECT_EQ(resumed.coverage_fraction, clean.coverage_fraction) << context;
 }
 
-class CheckpointResume : public ::testing::TestWithParam<ResumeCell> {
+// The resume matrix adds the diffusion model to a ResumeCell: an LT run
+// snapshots the same coordinates, but its samples are the scalar walk's,
+// not the IC fused lanes'.
+using ResumeMatrixCell =
+    std::tuple<const char *, int, SelectionExchange, DiffusionModel>;
+
+ResumeCell cell_of(const ResumeMatrixCell &cell) {
+  return {std::get<0>(cell), std::get<1>(cell), std::get<2>(cell)};
+}
+
+ImmOptions matrix_options(const ResumeMatrixCell &cell) {
+  ImmOptions options = cell_options(cell_of(cell));
+  options.model = std::get<3>(cell);
+  return options;
+}
+
+class CheckpointResume : public ::testing::TestWithParam<ResumeMatrixCell> {
 protected:
   void SetUp() override {
     directory_ = fs::temp_directory_path() /
@@ -348,13 +367,10 @@ protected:
 };
 
 TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
-  if (std::string(std::get<0>(GetParam())) == "dist-part" &&
-      std::get<2>(GetParam()) == RngMode::LeapfrogLcg)
-    GTEST_SKIP() << "the partitioned driver defines randomness per "
-                    "(sample, vertex); leap-frog streams do not apply";
-  const CsrGraph graph = checkpoint_graph();
-  ImmOptions options = cell_options(GetParam());
-  const ImmResult clean = run_cell(GetParam(), graph, options);
+  const ResumeCell cell = cell_of(GetParam());
+  const CsrGraph graph = checkpoint_graph(std::get<3>(GetParam()));
+  ImmOptions options = matrix_options(GetParam());
+  const ImmResult clean = run_cell(cell, graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
   EXPECT_EQ(clean.resumed_from, -1);
 
@@ -362,7 +378,7 @@ TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
   options.checkpoint.dir = (directory_ / "full").string();
   options.checkpoint.every = 1;
   options.checkpoint.keep_last = 100;
-  const ImmResult checkpointed = run_cell(GetParam(), graph, options);
+  const ImmResult checkpointed = run_cell(cell, graph, options);
   expect_identical_outcome(checkpointed, clean, "checkpointing enabled");
 
   CheckpointManager manager(options.checkpoint.dir, 1, 100);
@@ -380,7 +396,7 @@ TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
   // snapshot; resume from each of them must land on the identical outcome.
   for (const std::string &file : files) {
     const Snapshot snapshot = CheckpointManager::load_file(file);
-    ImmOptions resume_options = cell_options(GetParam());
+    ImmOptions resume_options = matrix_options(GetParam());
     // Keyed by file name, not round: the acceptance snapshot and the
     // post-final-extend snapshot legitimately share a next_round.
     resume_options.checkpoint.dir =
@@ -389,7 +405,7 @@ TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
     fs::create_directories(resume_options.checkpoint.dir);
     fs::copy_file(file, fs::path(resume_options.checkpoint.dir) /
                             fs::path(file).filename());
-    const ImmResult resumed = run_cell(GetParam(), graph, resume_options);
+    const ImmResult resumed = run_cell(cell, graph, resume_options);
     expect_identical_outcome(resumed, clean,
                              "resume from round " +
                                  std::to_string(snapshot.next_round));
@@ -400,12 +416,12 @@ TEST_P(CheckpointResume, ResumeFromAnyRoundReproducesTheUninterruptedRun) {
 }
 
 std::string resume_cell_name(
-    const ::testing::TestParamInfo<ResumeCell> &info) {
-  const auto &[driver, ranks, rng, exchange] = info.param;
+    const ::testing::TestParamInfo<ResumeMatrixCell> &info) {
+  const auto &[driver, ranks, exchange, model] = info.param;
   std::string name = driver;
   name += "_p" + std::to_string(ranks);
-  name += rng == RngMode::CounterSequence ? "_counter" : "_leapfrog";
   name += exchange == SelectionExchange::Sparse ? "_sparse" : "_dense";
+  if (model == DiffusionModel::LinearThreshold) name += "_lt";
   // "dist-part" contains an invalid character for a test name.
   for (char &c : name)
     if (c == '-') c = '_';
@@ -413,13 +429,13 @@ std::string resume_cell_name(
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DriverRanksRngExchange, CheckpointResume,
+    DriverRanksExchange, CheckpointResume,
     ::testing::Combine(::testing::Values("dist", "dist-part"),
                        ::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg),
                        ::testing::Values(SelectionExchange::Dense,
-                                         SelectionExchange::Sparse)),
+                                         SelectionExchange::Sparse),
+                       ::testing::Values(DiffusionModel::IndependentCascade,
+                                         DiffusionModel::LinearThreshold)),
     resume_cell_name);
 
 // --- abnormal death, refusal, and composition with fault healing -------------
@@ -431,8 +447,7 @@ TEST_F(CheckpointKill, SnapshotsSurviveAnAbruptDeathAndResumeToIdenticalSeeds) {
   // unwinds the whole run mid-martingale.  Whatever snapshots were written
   // before the death must carry a --resume run to the clean outcome.
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 3, RngMode::CounterSequence,
-                  SelectionExchange::Dense};
+  ResumeCell cell{"dist", 3, SelectionExchange::Dense};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -459,8 +474,7 @@ TEST_F(CheckpointKill, StealMidRoundKillResumesToIdenticalSeeds) {
   // placement-only), so the snapshot must carry BOTH a stealing-on resume
   // and a stealing-off resume to the clean no-steal outcome.
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 3, RngMode::CounterSequence,
-                  SelectionExchange::Dense};
+  ResumeCell cell{"dist", 3, SelectionExchange::Dense};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -491,8 +505,7 @@ TEST_F(CheckpointKill, ResumeIntoAnEmptyDirectoryStartsFresh) {
   // Killed before the first boundary: nothing on disk, --resume must fall
   // back to a fresh run, not fail.
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 2, RngMode::CounterSequence,
-                  SelectionExchange::Dense};
+  ResumeCell cell{"dist", 2, SelectionExchange::Dense};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
   options.checkpoint.dir = dir();
@@ -504,16 +517,14 @@ TEST_F(CheckpointKill, ResumeIntoAnEmptyDirectoryStartsFresh) {
 
 TEST_F(CheckpointKill, ResumeWithoutADirectoryIsRefused) {
   const CsrGraph graph = checkpoint_graph();
-  ImmOptions options = cell_options({"dist", 2, RngMode::CounterSequence,
-                                     SelectionExchange::Dense});
+  ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense});
   options.checkpoint.resume = true;
   EXPECT_THROW((void)imm_distributed(graph, options), std::runtime_error);
 }
 
 TEST_F(CheckpointKill, MismatchedResumeIsRefusedNotSilentlyWrong) {
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 2, RngMode::CounterSequence,
-                  SelectionExchange::Dense};
+  ResumeCell cell{"dist", 2, SelectionExchange::Dense};
   ImmOptions options = cell_options(cell);
   options.checkpoint.dir = dir();
   (void)imm_distributed(graph, options);
@@ -541,9 +552,21 @@ TEST_F(CheckpointKill, MismatchedResumeIsRefusedNotSilentlyWrong) {
   changed_eps.epsilon = 0.4;
   expect_refused(changed_eps, graph, "epsilon");
 
-  ImmOptions changed_rng = options;
-  changed_rng.rng_mode = RngMode::LeapfrogLcg;
-  expect_refused(changed_rng, graph, "rng_mode");
+  {
+    // A snapshot left by the retired leap-frog LCG mode: same run, but the
+    // fingerprint's rng_mode byte is 1.  Its sample coordinates name LCG
+    // draws the counter streams cannot reproduce, so resume must refuse.
+    const std::optional<Snapshot> newest =
+        CheckpointManager(dir(), 1, 3).load_latest();
+    ASSERT_TRUE(newest.has_value());
+    Snapshot leapfrog = *newest;
+    leapfrog.fingerprint.rng_mode = 1;
+    const fs::path leapfrog_dir = directory_ / "leapfrog";
+    CheckpointManager(leapfrog_dir.string(), 1, 3).write_now(leapfrog);
+    ImmOptions from_leapfrog = options;
+    from_leapfrog.checkpoint.dir = leapfrog_dir.string();
+    expect_refused(from_leapfrog, graph, "rng_mode");
+  }
 
   ImmOptions changed_ranks = options;
   changed_ranks.num_ranks = 4;
@@ -569,8 +592,7 @@ TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
   // carry a resume to that same outcome (the healed run keeps exactly one
   // writer: the current dense rank 0).
   const CsrGraph graph = checkpoint_graph();
-  ResumeCell cell{"dist", 3, RngMode::LeapfrogLcg,
-                  SelectionExchange::Sparse};
+  ResumeCell cell{"dist", 3, SelectionExchange::Sparse};
   ImmOptions options = cell_options(cell);
   const ImmResult clean = imm_distributed(graph, options);
 
@@ -587,10 +609,46 @@ TEST_F(CheckpointKill, CheckpointingComposesWithFaultHealing) {
   expect_identical_outcome(resumed, clean, "resume from a healed run");
 }
 
+TEST_F(CheckpointKill, ResumeChargesReplayToThePhaseThatFirstSampled) {
+  // At epsilon 0.7 estimation already holds theta samples when it accepts,
+  // so the uninterrupted run never enters the Sample phase; at 0.5 it tops
+  // up to theta there.  A resume from any snapshot — the acceptance one
+  // included, the state a kill during the final selection leaves — must
+  // charge replayed estimation-era samples to EstimateTheta and only a
+  // theta top-up to Sample, like the uninterrupted run.
+  const CsrGraph graph = checkpoint_graph();
+  for (const double epsilon : {0.7, 0.5}) {
+    ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense});
+    options.epsilon = epsilon;
+    const std::string run_dir =
+        (directory_ / ("eps" + std::to_string(epsilon))).string();
+    options.checkpoint.dir = run_dir;
+    options.checkpoint.every = 1;
+    options.checkpoint.keep_last = 100;
+    const ImmResult clean = imm_distributed(graph, options);
+    const bool topped_up = clean.timers.total(Phase::Sample) > 0.0;
+    ASSERT_EQ(topped_up, epsilon == 0.5) << "the fixture lost its shape";
+
+    for (const std::string &file :
+         CheckpointManager(run_dir, 1, 100).snapshot_files()) {
+      ImmOptions resume_options = options;
+      resume_options.checkpoint.dir =
+          run_dir + "-" + fs::path(file).stem().string();
+      resume_options.checkpoint.resume = true;
+      fs::create_directories(resume_options.checkpoint.dir);
+      fs::copy_file(file, fs::path(resume_options.checkpoint.dir) /
+                              fs::path(file).filename());
+      const ImmResult resumed = imm_distributed(graph, resume_options);
+      expect_identical_outcome(resumed, clean, "resume from " + file);
+      EXPECT_EQ(resumed.timers.total(Phase::Sample) > 0.0, topped_up) << file;
+      EXPECT_GT(resumed.timers.total(Phase::EstimateTheta), 0.0) << file;
+    }
+  }
+}
+
 TEST_F(CheckpointKill, WritesAndBytesAreCounted) {
   const CsrGraph graph = checkpoint_graph();
-  ImmOptions options = cell_options({"dist", 2, RngMode::CounterSequence,
-                                     SelectionExchange::Dense});
+  ImmOptions options = cell_options({"dist", 2, SelectionExchange::Dense});
   options.checkpoint.dir = dir();
   metrics::set_enabled(true);
   metrics::Registry &registry = metrics::Registry::instance();

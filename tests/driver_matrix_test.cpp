@@ -155,30 +155,30 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(SelectionExchange::Dense,
                                          SelectionExchange::Sparse)));
 
-// Stealing axis (DESIGN.md §13): for every ranks in {1,2,4,8} x rng mode x
-// exchange protocol, the distributed driver with work-stealing on
+// Stealing axis (DESIGN.md §13): for every ranks in {1,2,4,8} x diffusion
+// model x exchange protocol, the distributed driver with work-stealing on
 // (and the skewed fig7 partition manufactured, so inter steals actually
 // move chunks) must agree bit-exactly with the same configuration with
-// stealing off — stealing is a pure placement knob.  Counter mode is also
-// pinned to the sequential reference; leap-frog mode keeps its pinned
-// placement, so there the sweep asserts the knob is a strict no-op.
+// stealing off — stealing is a pure placement knob — and with the
+// sequential reference.
 class StealSweep
     : public ::testing::TestWithParam<
-          std::tuple<int, RngMode, SelectionExchange>> {};
+          std::tuple<int, DiffusionModel, SelectionExchange>> {};
 
 TEST_P(StealSweep, StealingOnMatchesStealingOff) {
-  auto [ranks, rng_mode, exchange] = GetParam();
+  auto [ranks, model, exchange] = GetParam();
 
   CsrGraph graph(barabasi_albert(400, 3, 77));
   assign_uniform_weights(graph, 78);
+  if (model == DiffusionModel::LinearThreshold)
+    renormalize_linear_threshold(graph);
 
   ImmOptions options;
   options.epsilon = 0.5;
   options.k = 8;
-  options.model = DiffusionModel::IndependentCascade;
+  options.model = model;
   options.seed = 4242;
   options.num_ranks = ranks;
-  options.rng_mode = rng_mode;
   options.selection_exchange = exchange;
   options.steal = StealMode::Off;
   options.steal_chunk = 16;
@@ -193,18 +193,16 @@ TEST_P(StealSweep, StealingOnMatchesStealingOff) {
   EXPECT_EQ(on.num_samples, off.num_samples);
   EXPECT_EQ(on.coverage_fraction, off.coverage_fraction);
 
-  if (rng_mode == RngMode::CounterSequence) {
-    ImmResult reference = imm_sequential(graph, options);
-    EXPECT_EQ(on.seeds, reference.seeds);
-    EXPECT_EQ(on.theta, reference.theta);
-  }
+  ImmResult reference = imm_sequential(graph, options);
+  EXPECT_EQ(on.seeds, reference.seeds);
+  EXPECT_EQ(on.theta, reference.theta);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RanksRngExchange, StealSweep,
+    RanksModelExchange, StealSweep,
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg),
+                       ::testing::Values(DiffusionModel::IndependentCascade,
+                                         DiffusionModel::LinearThreshold),
                        ::testing::Values(SelectionExchange::Dense,
                                          SelectionExchange::Sparse)));
 

@@ -202,36 +202,25 @@ TEST(FaultAbort, CrashUnblocksPeersInAllgather) {
                InjectedFault);
 }
 
-TEST(FaultAbort, CrashUnblocksBlockedReceiver) {
-  // Rank 0 crashes at its first communication entry; rank 1 is blocked in
-  // recv on the channel rank 0 would have served.
-  RunOptions options = crash_plan(2, 0, 0);
+TEST(FaultAbort, CrashUnblocksPeersInAllgatherv) {
+  // Rank 0 crashes at its second entry while its peers wait for its section.
+  RunOptions options = crash_plan(3, 0, 1);
   EXPECT_THROW(Context::run(options,
                             [](Communicator &comm) {
-                              std::uint64_t value = 0;
-                              if (comm.rank() == 0) {
-                                comm.send(std::span<const std::uint64_t>(&value, 1),
-                                          1);
-                              } else {
-                                comm.recv(std::span<std::uint64_t>(&value, 1), 0);
-                              }
+                              std::vector<std::uint32_t> local(
+                                  static_cast<std::size_t>(comm.rank()) + 1, 9);
+                              for (;;)
+                                (void)comm.allgatherv_ranks(
+                                    std::span<const std::uint32_t>(local));
                             }),
                InjectedFault);
 }
 
-TEST(FaultAbort, CrashUnblocksBlockedSender) {
-  // Rank 1 crashes before posting its recv; rank 0 is blocked in the send
-  // rendezvous waiting for the payload to be consumed.
+TEST(FaultAbort, CrashUnblocksPeersInBarrier) {
   RunOptions options = crash_plan(2, 1, 0);
   EXPECT_THROW(Context::run(options,
                             [](Communicator &comm) {
-                              std::uint64_t value = 42;
-                              if (comm.rank() == 0) {
-                                comm.send(std::span<const std::uint64_t>(&value, 1),
-                                          1);
-                              } else {
-                                comm.recv(std::span<std::uint64_t>(&value, 1), 0);
-                              }
+                              for (;;) comm.barrier();
                             }),
                InjectedFault);
 }
@@ -337,25 +326,22 @@ TEST(FaultRecovery, BroadcastAndAllgatherWorkOnTheShrunkenTeam) {
   EXPECT_EQ(finishers.load(), 3);
 }
 
-TEST(FaultRecovery, SendRecvWorkAcrossDenseRanksAfterShrink) {
+TEST(FaultRecovery, AllgathervSectionsFollowDenseRanksAfterShrink) {
+  // The sparse selection exchange reads section i as dense rank i's
+  // summary; after a shrink, section i must come from members()[i].
   RunOptions options = crash_plan(3, 1, 0);
   std::atomic<int> finishers{0};
   run_with_recovery(options, [&](Communicator &comm) {
-    if (comm.size() == 3) {
-      // Pre-crash team: force everyone into a collective so the crash at
-      // rank 1's first entry surfaces as RankFailed for the survivors.
-      comm.barrier();
-      return;
+    const auto me = static_cast<std::uint32_t>(comm.world_rank());
+    std::vector<std::uint32_t> local(me + 1, me);
+    std::vector<std::vector<std::uint32_t>> sections =
+        comm.allgatherv_ranks(std::span<const std::uint32_t>(local));
+    ASSERT_EQ(sections.size(), static_cast<std::size_t>(comm.size()));
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      const auto world = static_cast<std::uint32_t>(comm.members()[i]);
+      ASSERT_EQ(sections[i], std::vector<std::uint32_t>(world + 1, world));
     }
-    // Post-shrink: dense ranks 0 and 1 are world ranks 0 and 2.
-    std::uint64_t value = 0;
-    if (comm.rank() == 0) {
-      value = 77;
-      comm.send(std::span<const std::uint64_t>(&value, 1), 1);
-    } else {
-      comm.recv(std::span<std::uint64_t>(&value, 1), 0);
-      EXPECT_EQ(value, 77u);
-    }
+    EXPECT_EQ(comm.size(), 2);
     finishers.fetch_add(1);
   });
   EXPECT_EQ(finishers.load(), 2);
@@ -509,23 +495,20 @@ TEST(FaultWatchdog, StallBecomesDiagnosedTimeoutWithinTwiceTheDeadline) {
   }
 }
 
-TEST(FaultWatchdog, StalledReceiverPeerTimesOutNamingThePeer) {
+TEST(FaultWatchdog, StalledBroadcastRootTimesOutNamingTheRoot) {
   RunOptions options;
   options.num_ranks = 2;
   options.watchdog = std::chrono::milliseconds{100};
-  // Rank 1 stalls before posting its recv; rank 0's send rendezvous waits.
-  options.faults = {{1, 0, FaultSpec::Kind::Stall}};
+  // The root stalls before its first broadcast; the receiver waits for it.
+  options.faults = {{0, 0, FaultSpec::Kind::Stall}};
   try {
     Context::run(options, [](Communicator &comm) {
-      std::uint64_t value = 5;
-      if (comm.rank() == 0)
-        comm.send(std::span<const std::uint64_t>(&value, 1), 1);
-      else
-        comm.recv(std::span<std::uint64_t>(&value, 1), 0);
+      std::vector<std::uint64_t> buffer(1, 5);
+      comm.broadcast(std::span<std::uint64_t>(buffer), 0);
     });
     FAIL() << "expected CollectiveTimeout";
   } catch (const CollectiveTimeout &timeout) {
-    EXPECT_EQ(timeout.laggards(), std::vector<int>{1});
+    EXPECT_EQ(timeout.laggards(), std::vector<int>{0});
     EXPECT_LT(timeout.waited(), 2 * options.watchdog);
   }
 }
@@ -648,22 +631,19 @@ CsrGraph healing_graph() {
   return graph;
 }
 
-ImmOptions healing_options(RngMode mode) {
+ImmOptions healing_options() {
   ImmOptions options;
   options.epsilon = 0.5;
   options.k = 8;
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 2019;
   options.num_ranks = 3;
-  options.rng_mode = mode;
   return options;
 }
 
-class ImmHealing : public ::testing::TestWithParam<RngMode> {};
-
-TEST_P(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
+TEST(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(GetParam());
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -680,18 +660,7 @@ TEST_P(ImmHealing, CrashAtAnySiteAndRankHealsToTheFailureFreeSeedSet) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RngModes, ImmHealing,
-                         ::testing::Values(RngMode::CounterSequence,
-                                           RngMode::LeapfrogLcg),
-                         [](const auto &suite_info) {
-                           return suite_info.param == RngMode::CounterSequence
-                                      ? "counter"
-                                      : "leapfrog";
-                         });
-
-class ImmHealingSparse : public ::testing::TestWithParam<RngMode> {};
-
-TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
+TEST(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   // The sparse protocol multiplies the collectives per selection round
   // (top-m allgatherv, bound allgather, candidate allreduce, dense resync,
   // delta allgatherv), so the site sweep is denser than the dense-path
@@ -699,12 +668,12 @@ TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   // early rounds, and healing must still reproduce the failure-free (and
   // dense-protocol-identical) seed set.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(GetParam());
+  ImmOptions options = healing_options();
   options.selection_exchange = SelectionExchange::Sparse;
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
   {
-    ImmOptions dense = healing_options(GetParam());
+    ImmOptions dense = healing_options();
     const ImmResult reference = imm_distributed(graph, dense);
     ASSERT_EQ(clean.seeds, reference.seeds);
   }
@@ -721,21 +690,12 @@ TEST_P(ImmHealingSparse, CrashAtEverySparseCollectiveSiteHealsBitIdentically) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RngModes, ImmHealingSparse,
-                         ::testing::Values(RngMode::CounterSequence,
-                                           RngMode::LeapfrogLcg),
-                         [](const auto &suite_info) {
-                           return suite_info.param == RngMode::CounterSequence
-                                      ? "counter"
-                                      : "leapfrog";
-                         });
-
 TEST(ImmHealing, EvictedStallHealsToTheFailureFreeSeedSet) {
   // PR 3 left stalls diagnose-only; with evict_stalled the watchdog routes
   // the laggard into the same RankFailed -> shrink() -> heal path a crash
   // takes, so a stalled rank costs a watchdog deadline, not the run.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -760,7 +720,7 @@ TEST(ImmStealHealing, CrashAtStealSitesHealsToTheFailureFreeSeedSet) {
   // survivors' executed ranges, so every plan must return the
   // failure-free, stealing-off seed set.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -791,7 +751,7 @@ TEST(ImmStealHealing, EvictedStallAtAStealSiteHealsToo) {
   // allreduce, and the watchdog + eviction route the laggard into the same
   // shrink -> inventory-heal path a crash takes.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
 
   steal_schedule::ScopedPlan forced(
@@ -810,7 +770,7 @@ TEST(ImmStealHealing, EvictedStallAtAStealSiteHealsToo) {
 
 TEST(ImmHealing, TenRunsOfOnePlanAreFullyDeterministic) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
 
   options.recover_failures = true;
@@ -823,7 +783,7 @@ TEST(ImmHealing, TenRunsOfOnePlanAreFullyDeterministic) {
 
 TEST(ImmHealing, RegenerationIsCountedInMetrics) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   options.recover_failures = true;
   // Crash late enough that the victim owned samples worth regenerating.
   options.fault_plan = "rank=2,site=9";
@@ -838,7 +798,7 @@ TEST(ImmHealing, RegenerationIsCountedInMetrics) {
 
 TEST(ImmHealing, WithoutRecoveryTheInjectedFaultPropagates) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   options.fault_plan = "rank=1,site=5";
   EXPECT_THROW((void)imm_distributed(graph, options), mpsim::InjectedFault);
 }
@@ -859,7 +819,7 @@ TEST(ImmOom, RefusalWithoutRecoveryPropagatesTheDiagnostic) {
   // naming the consumer — never an unhandled bad_alloc.  A refusal at site
   // 1 (the lanes) sticks, so it ends at round 2's admission as site 2 does.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   for (const char *plan : {"rank=1,site=1,kind=oom", "rank=1,site=2,kind=oom"}) {
     options.fault_plan = plan;
     try {
@@ -881,7 +841,7 @@ TEST(ImmOom, RefusedRankHealsLikeACrashedRankAtEverySite) {
   // survivors shrink, adopt its streams, and regenerate its samples
   // bit-identically, exactly as they would for a crash.
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
   ASSERT_EQ(clean.seeds.size(), options.k);
 
@@ -909,7 +869,7 @@ TEST(ImmOom, RefusalFlushesACheckpointAndALargerBudgetResumesBitIdentically) {
   // with exactly the failure-free seed set.
   namespace fs = std::filesystem;
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   const ImmResult clean = imm_distributed(graph, options);
 
   const fs::path dir =
@@ -936,7 +896,7 @@ TEST(ImmOom, RefusalFlushesACheckpointAndALargerBudgetResumesBitIdentically) {
 
 TEST(ImmOom, RefusalsAndReservationsAreCounted) {
   CsrGraph graph = healing_graph();
-  ImmOptions options = healing_options(RngMode::CounterSequence);
+  ImmOptions options = healing_options();
   options.recover_failures = true;
   options.fault_plan = "rank=1,site=2,kind=oom";
   metrics::set_enabled(true);

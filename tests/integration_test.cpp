@@ -148,7 +148,7 @@ TEST(EndToEnd, BiologyCaseStudyPipeline) {
   EXPECT_GT(bio::count_significant(degree_rows), 0u);
 }
 
-TEST(EndToEnd, DistributedLeapfrogOnRegistrySurrogate) {
+TEST(EndToEnd, DistributedOnRegistrySurrogate) {
   CsrGraph graph = materialize(find_dataset("com-Amazon"), 0.003, 90);
   assign_uniform_weights(graph, 91);
 
@@ -157,7 +157,6 @@ TEST(EndToEnd, DistributedLeapfrogOnRegistrySurrogate) {
   options.k = 6;
   options.seed = 92;
   options.num_ranks = 4;
-  options.rng_mode = RngMode::LeapfrogLcg;
 
   ImmResult result = imm_distributed(graph, options);
   ASSERT_EQ(result.seeds.size(), 6u);

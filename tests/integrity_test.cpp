@@ -510,6 +510,23 @@ TEST(RRRStoreScrub, ParanoidScrubsBeforeTheCountingKernels) {
   EXPECT_EQ(counted, expected);
 }
 
+TEST(RRRStoreScrub, OnModeScrubsBeforeTheDistributedCount) {
+  // The distributed driver selects through count_into/retire, never
+  // select(); count_into must therefore carry the `on` scrub itself.
+  detail::RRRStore clean(scrub_policy(ScrubMode::On));
+  clean.extend_window(0, 1500, fill_window);
+  std::vector<std::uint32_t> expected(120, 0);
+  clean.count_into(std::span<std::uint32_t>(expected));
+
+  detail::RRRStore damaged(scrub_policy(ScrubMode::On));
+  damaged.extend_window(0, 1500, fill_window);
+  ASSERT_TRUE(damaged.flip_stored_bit(777));
+  std::vector<std::uint32_t> counted(120, 0);
+  damaged.count_into(std::span<std::uint32_t>(counted));
+  EXPECT_EQ(counted, expected);
+  EXPECT_EQ(damaged.scrub(), 0u); // already repaired by the count
+}
+
 TEST(RRRStoreScrub, OffModeNeverScrubs) {
   detail::RRRStore store(scrub_policy(ScrubMode::Off));
   store.extend_window(0, 500, fill_window);
@@ -565,7 +582,6 @@ ImmOptions healing_options() {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 2019;
   options.num_ranks = 3;
-  options.rng_mode = RngMode::CounterSequence;
   return options;
 }
 

@@ -65,17 +65,6 @@ TEST(MiscDeathTest, LeapfrogRejectsOutOfRangeStream) {
   EXPECT_DEATH((void)base.leapfrog(4, 4), "stream < num_streams");
 }
 
-TEST(MiscDeathTest, DistributedLeapfrogWithThreadsIsRejected) {
-  CsrGraph graph(path_graph(16));
-  assign_constant_weights(graph, 0.5f);
-  ImmOptions options;
-  options.k = 2;
-  options.num_ranks = 2;
-  options.num_threads = 2;
-  options.rng_mode = RngMode::LeapfrogLcg;
-  EXPECT_DEATH((void)imm_distributed(graph, options), "leap-frog");
-}
-
 TEST(UmbrellaHeader, ExposesTheWholePublicSurface) {
   // Compile-time check by construction; spot-check a few symbols from every
   // module resolve through ripples.hpp alone (this TU includes nothing

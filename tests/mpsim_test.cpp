@@ -58,23 +58,6 @@ TEST_P(MpsimRankCounts, AllreduceMaxAndMin) {
   });
 }
 
-TEST_P(MpsimRankCounts, ReduceDeliversOnlyToRoot) {
-  const int p = GetParam();
-  const int root = p - 1;
-  Context::run(p, [&](Communicator &comm) {
-    std::vector<std::uint64_t> buffer{1, static_cast<std::uint64_t>(comm.rank())};
-    comm.reduce(std::span<std::uint64_t>(buffer), ReduceOp::Sum, root);
-    if (comm.rank() == root) {
-      EXPECT_EQ(buffer[0], static_cast<std::uint64_t>(p));
-      EXPECT_EQ(buffer[1], static_cast<std::uint64_t>(p * (p - 1) / 2));
-    } else {
-      // Non-root buffers are untouched, as with MPI_Reduce.
-      EXPECT_EQ(buffer[0], 1u);
-      EXPECT_EQ(buffer[1], static_cast<std::uint64_t>(comm.rank()));
-    }
-  });
-}
-
 TEST_P(MpsimRankCounts, BroadcastCopiesRootBuffer) {
   const int p = GetParam();
   Context::run(p, [&](Communicator &comm) {
@@ -178,106 +161,73 @@ TEST_P(MpsimRankCounts, CollectiveSequencesStayInLockstep) {
   });
 }
 
+TEST_P(MpsimRankCounts, BroadcastFromEveryRootReachesEveryRank) {
+  // The drivers broadcast from rank 0 only today; the collective itself
+  // takes any root, so every root must reach every rank, in lockstep.
+  const int p = GetParam();
+  Context::run(p, [&](Communicator &comm) {
+    for (int root = 0; root < p; ++root) {
+      std::vector<std::uint64_t> buffer(9, static_cast<std::uint64_t>(comm.rank()));
+      if (comm.rank() == root)
+        for (std::size_t i = 0; i < buffer.size(); ++i)
+          buffer[i] = static_cast<std::uint64_t>(1000 * root) + i;
+      comm.broadcast(std::span<std::uint64_t>(buffer), root);
+      for (std::size_t i = 0; i < buffer.size(); ++i)
+        ASSERT_EQ(buffer[i], static_cast<std::uint64_t>(1000 * root) + i)
+            << "root " << root << ", index " << i;
+    }
+  });
+}
+
+TEST_P(MpsimRankCounts, AllreduceSumOfDoublesIsTheRankOrderSumBitForBit) {
+  // Whichever rank reduces a slice, it sums the contributions in dense rank
+  // order, so floating-point results are bit-identical to a sequential
+  // rank-order sum on every rank — the determinism the drivers rely on.
+  const int p = GetParam();
+  const std::size_t len = 257;
+  auto contribution = [](int rank, std::size_t i) {
+    return 0.1 * static_cast<double>(rank + 1) / static_cast<double>(i + 3) +
+           (rank % 2 == 0 ? 1e8 : -1e8);
+  };
+  Context::run(p, [&](Communicator &comm) {
+    std::vector<double> buffer(len);
+    for (std::size_t i = 0; i < len; ++i)
+      buffer[i] = contribution(comm.rank(), i);
+    comm.allreduce(std::span<double>(buffer), ReduceOp::Sum);
+    for (std::size_t i = 0; i < len; ++i) {
+      double expected = contribution(0, i);
+      for (int r = 1; r < p; ++r) expected += contribution(r, i);
+      ASSERT_EQ(buffer[i], expected) << "index " << i;
+    }
+  });
+}
+
+TEST_P(MpsimRankCounts, AllgathervCarriesLargePayloadsIntact) {
+  // Payloads far larger than any header: every rank contributes its own
+  // length, so an offset or length mix-up shows as a misplaced value.
+  const int p = GetParam();
+  const std::size_t base = 1 << 13;
+  Context::run(p, [&](Communicator &comm) {
+    const auto me = static_cast<std::size_t>(comm.rank());
+    std::vector<double> local(base + me);
+    for (std::size_t i = 0; i < local.size(); ++i)
+      local[i] = static_cast<double>(me) + 0.5 * static_cast<double>(i);
+    std::vector<std::vector<double>> sections =
+        comm.allgatherv_ranks(std::span<const double>(local));
+    ASSERT_EQ(sections.size(), static_cast<std::size_t>(p));
+    for (std::size_t r = 0; r < sections.size(); ++r) {
+      ASSERT_EQ(sections[r].size(), base + r);
+      for (std::size_t i = 0; i < sections[r].size(); i += 511)
+        ASSERT_EQ(sections[r][i],
+                  static_cast<double>(r) + 0.5 * static_cast<double>(i));
+      ASSERT_EQ(sections[r].back(), static_cast<double>(r) +
+                                        0.5 * static_cast<double>(base + r - 1));
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(RankCounts, MpsimRankCounts,
                          ::testing::Values(1, 2, 3, 4, 7, 16));
-
-TEST_P(MpsimRankCounts, GatherDeliversOnlyToRoot) {
-  const int p = GetParam();
-  Context::run(p, [&](Communicator &comm) {
-    std::vector<std::int64_t> gathered =
-        comm.gather(static_cast<std::int64_t>(comm.rank() * 3), 0);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(gathered.size(), static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r)
-        EXPECT_EQ(gathered[static_cast<std::size_t>(r)], 3 * r);
-    } else {
-      EXPECT_TRUE(gathered.empty());
-    }
-  });
-}
-
-TEST_P(MpsimRankCounts, ScatterDistributesRootValues) {
-  const int p = GetParam();
-  Context::run(p, [&](Communicator &comm) {
-    std::vector<std::uint32_t> values;
-    if (comm.rank() == 0)
-      for (int r = 0; r < p; ++r)
-        values.push_back(static_cast<std::uint32_t>(100 + r));
-    std::uint32_t mine =
-        comm.scatter(std::span<const std::uint32_t>(values), 0);
-    EXPECT_EQ(mine, static_cast<std::uint32_t>(100 + comm.rank()));
-  });
-}
-
-TEST(MpsimPointToPoint, RingPassesAToken) {
-  const int p = 4;
-  Context::run(p, [&](Communicator &comm) {
-    // Token accumulates each rank's id as it circles 0 -> 1 -> ... -> 0.
-    std::uint64_t token[1];
-    if (comm.rank() == 0) {
-      token[0] = 1;
-      comm.send(std::span<const std::uint64_t>(token, 1), 1);
-      comm.recv(std::span<std::uint64_t>(token, 1), p - 1);
-      EXPECT_EQ(token[0], 1u + 1 + 2 + 3);
-    } else {
-      comm.recv(std::span<std::uint64_t>(token, 1), comm.rank() - 1);
-      token[0] += static_cast<std::uint64_t>(comm.rank());
-      comm.send(std::span<const std::uint64_t>(token, 1),
-                (comm.rank() + 1) % p);
-    }
-  });
-}
-
-TEST(MpsimPointToPoint, MessagesOnOneChannelStayOrdered) {
-  Context::run(2, [&](Communicator &comm) {
-    if (comm.rank() == 0) {
-      for (std::uint32_t i = 0; i < 50; ++i) {
-        std::uint32_t payload[1] = {i};
-        comm.send(std::span<const std::uint32_t>(payload, 1), 1);
-      }
-    } else {
-      for (std::uint32_t i = 0; i < 50; ++i) {
-        std::uint32_t payload[1] = {0};
-        comm.recv(std::span<std::uint32_t>(payload, 1), 0);
-        ASSERT_EQ(payload[0], i);
-      }
-    }
-  });
-}
-
-TEST(MpsimPointToPoint, LargePayloadRoundTrips) {
-  Context::run(2, [&](Communicator &comm) {
-    const std::size_t length = 1 << 18;
-    if (comm.rank() == 0) {
-      std::vector<double> payload(length);
-      for (std::size_t i = 0; i < length; ++i)
-        payload[i] = static_cast<double>(i) * 0.5;
-      comm.send(std::span<const double>(payload), 1);
-    } else {
-      std::vector<double> received(length, -1.0);
-      comm.recv(std::span<double>(received), 0);
-      for (std::size_t i = 0; i < length; i += 4096)
-        ASSERT_DOUBLE_EQ(received[i], static_cast<double>(i) * 0.5);
-    }
-  });
-}
-
-TEST(MpsimPointToPoint, ConcurrentPairsDoNotInterfere) {
-  // Ranks 0<->1 and 2<->3 exchange simultaneously on disjoint channels.
-  Context::run(4, [&](Communicator &comm) {
-    int partner = comm.rank() ^ 1;
-    std::uint32_t outgoing[1] = {static_cast<std::uint32_t>(comm.rank() + 10)};
-    std::uint32_t incoming[1] = {0};
-    if (comm.rank() < partner) {
-      comm.send(std::span<const std::uint32_t>(outgoing, 1), partner);
-      comm.recv(std::span<std::uint32_t>(incoming, 1), partner);
-    } else {
-      comm.recv(std::span<std::uint32_t>(incoming, 1), partner);
-      comm.send(std::span<const std::uint32_t>(outgoing, 1), partner);
-    }
-    EXPECT_EQ(incoming[0], static_cast<std::uint32_t>(partner + 10));
-  });
-}
 
 TEST(Mpsim, EmptyBuffersAreLegal) {
   Context::run(4, [&](Communicator &comm) {
@@ -334,29 +284,29 @@ TEST(Mpsim, ThrowingRankUnblocksPeersInBarrier) {
                std::logic_error);
 }
 
-TEST(Mpsim, ThrowingRankUnblocksPeerInRecv) {
-  // Rank 0 waits for a message that will never be sent; rank 1's failure
-  // must wake it out of the mailbox wait.
-  EXPECT_THROW(Context::run(2,
+TEST(Mpsim, ThrowingRankUnblocksPeersInAllgatherv) {
+  // The sparse selection exchange's collective: a peer that throws instead
+  // of contributing its section must wake the ranks waiting for it.
+  EXPECT_THROW(Context::run(3,
                             [](Communicator &comm) {
-                              if (comm.rank() == 1)
-                                throw std::runtime_error("sender died");
-                              std::uint32_t buffer[1];
-                              comm.recv(std::span<std::uint32_t>(buffer, 1), 1);
+                              if (comm.rank() == 0)
+                                throw std::runtime_error("rank 0 failure");
+                              std::vector<std::uint32_t> local(5, 1);
+                              (void)comm.allgatherv_ranks(
+                                  std::span<const std::uint32_t>(local));
                             }),
                std::runtime_error);
 }
 
-TEST(Mpsim, ThrowingRankUnblocksPeerInSend) {
-  // Rendezvous send blocks until the receiver drains it; the receiver's
-  // failure must wake the sender.
-  EXPECT_THROW(Context::run(2,
+TEST(Mpsim, ThrowingRootUnblocksPeersInBroadcast) {
+  // Every non-root waits for the root's buffer; the root's failure must
+  // wake them.
+  EXPECT_THROW(Context::run(4,
                             [](Communicator &comm) {
-                              if (comm.rank() == 1)
-                                throw std::runtime_error("receiver died");
-                              std::uint32_t payload[1] = {42};
-                              comm.send(
-                                  std::span<const std::uint32_t>(payload, 1), 1);
+                              if (comm.rank() == 2)
+                                throw std::runtime_error("root died");
+                              std::vector<std::uint32_t> buffer(3, 0);
+                              comm.broadcast(std::span<std::uint32_t>(buffer), 2);
                             }),
                std::runtime_error);
 }

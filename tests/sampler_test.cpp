@@ -441,19 +441,22 @@ TEST(LeapfrogFirstIndex, SaturatesInsteadOfWrappingNearMax) {
   EXPECT_EQ(leapfrog_first_index(max - 1, 2, 4), max - 1);
 }
 
-TEST(SampleLeapfrogRange, TerminatesWhenStrideWrapsPastMax) {
+TEST(LeapfrogIndices, TerminatesWhenStrideWrapsPastMax) {
   // num_streams = 2^63 puts exactly two indices of stream 5 in
   // [0, UINT64_MAX): 5 and 5 + 2^63.  The next candidate, 5 + 2^64, wraps
   // to 5 again — without the wrap guard this loop never terminates.
-  CsrGraph graph = test_graph(15);
   const std::uint64_t huge_stride = std::uint64_t{1} << 63;
-  Lcg64 engine = Lcg64::leapfrog_stream(99, 5, huge_stride);
-  RRRCollection collection;
-  std::uint64_t generated = sample_leapfrog_range(
-      graph, DiffusionModel::IndependentCascade, engine, 5, huge_stride, 0,
-      std::numeric_limits<std::uint64_t>::max(), collection);
-  EXPECT_EQ(generated, 2u);
-  EXPECT_EQ(collection.size(), 2u);
+  const std::uint64_t stream = 5;
+  EXPECT_EQ(leapfrog_indices({&stream, 1}, 0,
+                             std::numeric_limits<std::uint64_t>::max(),
+                             huge_stride),
+            (std::vector<std::uint64_t>{5, 5 + huge_stride}));
+}
+
+TEST(LeapfrogIndices, ListsEachStreamInAscendingOrder) {
+  const std::vector<std::uint64_t> streams{2, 0};
+  EXPECT_EQ(leapfrog_indices(streams, 3, 12, 4),
+            (std::vector<std::uint64_t>{6, 10, 4, 8}));
 }
 
 TEST(SamplerDeterminism, DifferentSeedsGiveDifferentCollections) {

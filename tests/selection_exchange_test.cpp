@@ -4,7 +4,7 @@
 // certification must hold exactly when the documented bound holds, and a
 // certified winner must equal the dense argmax including the smallest-id
 // tie-break.  End to end, the sparse protocol must return bit-identical
-// seed sets and coverage across graphs x ranks x k x RNG modes, survive
+// seed sets and coverage across drivers x ranks x k, survive
 // injected rank failures with bit-identical healing, and demonstrably move
 // fewer words than the dense allreduce (asserted from the metrics
 // registry).
@@ -394,16 +394,12 @@ TEST(SparseExchangeProperty, ExactStageCertifiesOnlyTrueWinners) {
 
 enum class ExchangeDriver { Distributed, Partitioned };
 
-using EquivalenceCell = std::tuple<ExchangeDriver, int, std::uint32_t, RngMode>;
+using EquivalenceCell = std::tuple<ExchangeDriver, int, std::uint32_t>;
 
 class SparseEquivalence : public ::testing::TestWithParam<EquivalenceCell> {};
 
 TEST_P(SparseEquivalence, SparseSeedsAndCoverageMatchDense) {
-  const auto [driver, num_ranks, k, rng_mode] = GetParam();
-  // The partitioned driver defines randomness per (sample, vertex) and
-  // rejects leap-frog streams.
-  if (driver == ExchangeDriver::Partitioned && rng_mode == RngMode::LeapfrogLcg)
-    GTEST_SKIP() << "partitioned driver is counter-stream only";
+  const auto [driver, num_ranks, k] = GetParam();
 
   CsrGraph graph(barabasi_albert(300, 3, 55));
   assign_uniform_weights(graph, 56);
@@ -414,7 +410,6 @@ TEST_P(SparseEquivalence, SparseSeedsAndCoverageMatchDense) {
   options.model = DiffusionModel::IndependentCascade;
   options.seed = 2019;
   options.num_ranks = num_ranks;
-  options.rng_mode = rng_mode;
 
   auto run = [&](SelectionExchange exchange) {
     ImmOptions local = options;
@@ -437,18 +432,13 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(ExchangeDriver::Distributed,
                                          ExchangeDriver::Partitioned),
                        ::testing::Values(1, 2, 4, 8),
-                       ::testing::Values(2u, 8u),
-                       ::testing::Values(RngMode::CounterSequence,
-                                         RngMode::LeapfrogLcg)),
+                       ::testing::Values(2u, 8u)),
     [](const auto &info) {
       std::string name = std::get<0>(info.param) == ExchangeDriver::Distributed
                              ? "dist"
                              : "part";
       name += "_p" + std::to_string(std::get<1>(info.param));
       name += "_k" + std::to_string(std::get<2>(info.param));
-      name += std::get<3>(info.param) == RngMode::CounterSequence
-                  ? "_counter"
-                  : "_leapfrog";
       return name;
     });
 
