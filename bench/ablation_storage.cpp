@@ -38,8 +38,8 @@ int main(int argc, char **argv) {
                         config.seed, compact);
       double sample_time = sample_watch.elapsed_seconds();
       StopWatch select_watch;
-      SelectionResult selection =
-          select_seeds(graph.num_vertices(), k, compact.sets());
+      SelectionResult selection = select_seeds_multithreaded(
+          graph.num_vertices(), k, compact.sets(), 1);
       double select_time = select_watch.elapsed_seconds();
       table.new_row()
           .add(theta)
@@ -60,7 +60,7 @@ int main(int argc, char **argv) {
       double sample_time = sample_watch.elapsed_seconds();
       StopWatch select_watch;
       SelectionResult selection =
-          select_seeds_flat(graph.num_vertices(), k, flat);
+          select_seeds_multithreaded(graph.num_vertices(), k, flat, 1);
       double select_time = select_watch.elapsed_seconds();
       table.new_row()
           .add(theta)

@@ -169,19 +169,32 @@ void BM_CountMemberships(benchmark::State &state) {
 }
 BENCHMARK(BM_CountMemberships)->Arg(256)->Arg(1024);
 
+/// Algorithm 4 selection of 50 seeds over 1024 IC sets, by store (0: plain
+/// sets, 1: compressed arena) and thread count.
 void BM_SelectSeeds(benchmark::State &state) {
   const CsrGraph &graph = shared_graph();
   RRRCollection collection;
   sample_sequential(graph, DiffusionModel::IndependentCascade, 1024, 7,
                     collection);
+  CompressedRRRCollection compressed;
+  for (const RRRSet &set : collection.sets()) compressed.append(set);
+  const bool use_compressed = state.range(0) == 1;
+  const auto threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
-    SelectionResult result = select_seeds(
-        graph.num_vertices(), static_cast<std::uint32_t>(state.range(0)),
-        collection.sets());
+    SelectionResult result =
+        use_compressed
+            ? select_seeds_multithreaded(graph.num_vertices(), 50, compressed,
+                                         threads)
+            : select_seeds_multithreaded(graph.num_vertices(), 50,
+                                         collection.sets(), threads);
     benchmark::DoNotOptimize(result.seeds.data());
   }
+  state.SetLabel(use_compressed ? "compressed" : "plain");
 }
-BENCHMARK(BM_SelectSeeds)->Arg(10)->Arg(50);
+BENCHMARK(BM_SelectSeeds)
+    ->ArgNames({"compressed", "threads"})
+    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->UseRealTime();
 
 void BM_Allreduce(benchmark::State &state) {
   const auto ranks = static_cast<int>(state.range(0));

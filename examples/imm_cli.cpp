@@ -59,7 +59,10 @@
 ///           [--steal on|off|intra|inter]  (work-stealing sampler scope;
 ///                                          byte-identical seeds in every
 ///                                          mode — placement only; dist
-///                                          driver; also RIPPLES_STEAL)
+///                                          driver; inter/on and
+///                                          --steal-skew are refused under
+///                                          a governed store; also
+///                                          RIPPLES_STEAL)
 ///           [--steal-chunk N]             (draws per stealable chunk;
 ///                                          default 64; also
 ///                                          RIPPLES_STEAL_CHUNK)
@@ -96,8 +99,10 @@
 ///                                          malformed lines/weights)
 ///   imm_cli --dataset com-DBLP --scale 0.01 ...     (surrogate input)
 ///
-/// Any other option is refused with exit code 2, as is a scrubbing request
-/// on a run whose RRR store nothing would scrub.
+/// Any other option is refused with exit code 2, as are --json-report,
+/// --trace and --json without a path, a scrubbing request on a run whose
+/// RRR store nothing would scrub, and inter-rank stealing or skew under a
+/// governed store.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -258,11 +263,23 @@ ImmOptions options_from_cli(const CommandLine &cli, DiffusionModel model,
   return options;
 }
 
+/// True when the run builds the budget-governed RRR store: a finite budget,
+/// forced compression, or an injected oom fault (an unparsable fault plan
+/// exits 2).
+bool governs_rrr_store(const ImmOptions &options) {
+  if (options.mem_budget > 0 || options.rrr_compress == CompressMode::Always)
+    return true;
+  try {
+    return !detail::oom_faults_from_plan(options.fault_plan).empty();
+  } catch (const std::exception &error) {
+    std::fprintf(stderr, "invalid fault plan: %s\n", error.what());
+    std::exit(2);
+  }
+}
+
 /// Exits 2 when scrubbing is requested (by --scrub-rrr or RIPPLES_SCRUB_RRR)
 /// where nothing gets scrubbed: only the budget-governed RRR store of the
-/// seq, mt and dist drivers carries checksums, and a run builds that store
-/// only under a finite budget, forced compression, or an injected oom
-/// fault.
+/// seq, mt and dist drivers carries checksums.
 void refuse_idle_scrub(const ImmOptions &options, const std::string &driver) {
   if (options.scrub_rrr == ScrubMode::Off) return;
   const char *scrub = to_string(options.scrub_rrr);
@@ -273,23 +290,37 @@ void refuse_idle_scrub(const ImmOptions &options, const std::string &driver) {
                  scrub, driver.c_str());
     std::exit(2);
   }
-  bool governed = options.mem_budget > 0 ||
-                  options.rrr_compress == CompressMode::Always;
-  if (!governed) {
-    try {
-      governed = !detail::oom_faults_from_plan(options.fault_plan).empty();
-    } catch (const std::exception &error) {
-      std::fprintf(stderr, "invalid fault plan: %s\n", error.what());
-      std::exit(2);
-    }
-  }
-  if (!governed) {
+  if (!governs_rrr_store(options)) {
     std::fprintf(stderr,
                  "--scrub-rrr %s has no effect without a governed RRR store: "
                  "add --rrr-compress always or --mem-budget BYTES\n",
                  scrub);
     std::exit(2);
   }
+}
+
+/// Exits 2 when the dist driver is asked to move draws between ranks
+/// (inter-rank stealing or --steal-skew) under a governed RRR store, whose
+/// admission is rank-local (imm_distributed refuses the same combination).
+void refuse_steal_under_budget(const ImmOptions &options,
+                               const std::string &driver) {
+  if (driver != "dist" ||
+      !(detail::steals_between_ranks(options) || options.steal_skew) ||
+      !governs_rrr_store(options))
+    return;
+  std::fprintf(stderr,
+               "inter-rank stealing (--steal inter|on) and --steal-skew need "
+               "an ungoverned RRR store, but --mem-budget, --rrr-compress "
+               "always or a kind=oom fault governs it\n");
+  std::exit(2);
+}
+
+/// Exits 2 when an option that names an output file is given without one;
+/// the run would otherwise finish and silently write nothing.
+void refuse_missing_path(const CommandLine &cli, const char *name) {
+  if (!cli.has_flag(name) || !cli.value_of(name).value_or("").empty()) return;
+  std::fprintf(stderr, "--%s needs a file path\n", name);
+  std::exit(2);
 }
 
 ImmResult run_driver(const std::string &driver, const CsrGraph &graph,
@@ -384,7 +415,10 @@ int main(int argc, char **argv) {
   // Every accepted option has been read: refuse typos and retired options
   // before any work starts, then combinations that would silently idle.
   cli.reject_unknown();
+  for (const char *name : {"json-report", "trace", "json"})
+    refuse_missing_path(cli, name);
   refuse_idle_scrub(options, driver);
+  refuse_steal_under_budget(options, driver);
 
   // Enable metrics before the run so the report captures communication
   // volume and registry counters (RIPPLES_METRICS=1 works too).  The report

@@ -195,6 +195,7 @@ void RRRStore::extend_window(std::uint64_t from, std::uint64_t to,
 
 void RRRStore::admit(RRRCollection &scratch, std::uint64_t window_units) {
   if (compressed_active_) {
+    compressed_.reserve_sets(scratch.size());
     for (const RRRSet &set : scratch.sets()) compressed_.append(set);
   } else {
     std::vector<RRRSet> &dest = plain_.mutable_sets();
@@ -298,53 +299,15 @@ bool RRRStore::flip_stored_bit(std::size_t bit) {
 
 SelectionResult RRRStore::select(vertex_t num_vertices, std::uint32_t k,
                                  unsigned num_threads) {
-  scrub();
-  if (compressed_active_)
-    return select_seeds_compressed(num_vertices, k, compressed_);
-  if (num_threads > 1)
-    return select_seeds_multithreaded(num_vertices, k, plain_.sets(),
-                                      num_threads);
-  return select_seeds(num_vertices, k, plain_.sets());
-}
-
-void RRRStore::count_into(std::span<std::uint32_t> counters) {
-  scrub();
-  if (compressed_active_)
-    count_memberships(compressed_, counters);
-  else
-    count_memberships(plain_.sets(), counters);
-}
-
-std::uint64_t RRRStore::retire(vertex_t seed, std::span<std::uint32_t> counters,
-                               std::vector<std::uint8_t> &retired) {
-  if (policy_.scrub == ScrubMode::Paranoid) scrub();
-  return compressed_active_
-             ? retire_samples_containing(seed, compressed_, counters, retired)
-             : retire_samples_containing(seed, plain_.sets(), counters,
-                                         retired);
-}
-
-std::uint64_t RRRStore::retire(vertex_t seed, std::span<std::uint32_t> counters,
-                               std::vector<std::uint8_t> &retired,
-                               std::span<std::uint32_t> pending_dec,
-                               std::vector<vertex_t> &pending_touched) {
-  if (policy_.scrub == ScrubMode::Paranoid) scrub();
-  return compressed_active_
-             ? retire_samples_containing(seed, compressed_, counters, retired,
-                                         pending_dec, pending_touched)
-             : retire_samples_containing(seed, plain_.sets(), counters,
-                                         retired, pending_dec,
-                                         pending_touched);
+  return with_samples(ScrubMode::On, [&](const auto &samples) {
+    return select_seeds_multithreaded(num_vertices, k, samples, num_threads);
+  });
 }
 
 void RRRStore::record_sizes(metrics::HistogramData &out) {
   if (compressed_active_) {
-    CompressedRRRCollection::Cursor cursor = compressed_.cursor();
-    while (!cursor.at_end()) {
-      const std::uint32_t count = cursor.next_header();
-      cursor.skip_members(count);
-      out.record(count);
-    }
+    for (std::size_t j = 0; j < compressed_.size(); ++j)
+      out.record(compressed_.set_size(j));
   } else {
     for (const RRRSet &set : plain_.sets()) out.record(set.size());
   }

@@ -64,7 +64,8 @@ enum class CompressMode { Auto, Always, Off };
 /// distributed counting/retirement passes).  A failed verification is
 /// repaired in place by regenerating the damaged block from its RNG
 /// coordinates (PR 3's healing machinery at storage granularity) and only
-/// escalates when regeneration is not byte-identical.
+/// escalates when regeneration is not byte-identical.  Declared in
+/// increasing intensity, so modes compare with < and >=.
 enum class ScrubMode { Off, On, Paranoid };
 
 /// RIPPLES_SCRUB_RRR: `off` (default), `on`, or `paranoid`.  Any other
@@ -168,24 +169,27 @@ public:
   void extend_window(std::uint64_t from, std::uint64_t to,
                      const WindowGenerator &generate);
 
-  /// Seed selection over the active representation — identical seeds and
-  /// tie-breaking in either (the determinism tests assert it).  Under
-  /// ScrubMode::On/Paranoid a scrub pass runs first, so selection never
-  /// consumes unverified bytes.
+  /// Runs \p kernel over the active representation — a
+  /// std::span<const RRRSet> of the plain sets or the
+  /// CompressedRRRCollection, both selection sources (select.hpp) — and
+  /// returns its result.  A scrub pass runs first when the policy scrubs at
+  /// \p scrub_from or above, so a kernel never consumes unverified bytes:
+  /// callers opening a selection pass ScrubMode::On, the distributed
+  /// driver's per-round retirement passes ScrubMode::Paranoid.
+  template <class Kernel>
+  auto with_samples(ScrubMode scrub_from, Kernel &&kernel) {
+    if (policy_.scrub >= scrub_from) scrub();
+    return compressed_active_
+               ? kernel(static_cast<const CompressedRRRCollection &>(
+                     compressed_))
+               : kernel(std::span<const RRRSet>(plain_.sets()));
+  }
+
+  /// Seed selection over the active representation, scrubbed first under
+  /// ScrubMode::On/Paranoid — identical seeds and tie-breaking in either
+  /// representation (the determinism tests assert it).
   [[nodiscard]] SelectionResult select(vertex_t num_vertices, std::uint32_t k,
                                        unsigned num_threads);
-
-  // Kernels of the distributed selection protocol, dispatched to the active
-  // representation.  count_into opens every selection, so like select() it
-  // scrubs first under ScrubMode::On/Paranoid; the retire kernels scrub
-  // first under ScrubMode::Paranoid only.
-  void count_into(std::span<std::uint32_t> counters);
-  std::uint64_t retire(vertex_t seed, std::span<std::uint32_t> counters,
-                       std::vector<std::uint8_t> &retired);
-  std::uint64_t retire(vertex_t seed, std::span<std::uint32_t> counters,
-                       std::vector<std::uint8_t> &retired,
-                       std::span<std::uint32_t> pending_dec,
-                       std::vector<vertex_t> &pending_touched);
 
   /// Records every stored sample's size into \p out (the report histogram).
   void record_sizes(metrics::HistogramData &out);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <numeric>
 #include <optional>
+#include <string>
 
 #include "imm/imm_core.hpp"
 #include "imm/sampler.hpp"
@@ -167,64 +168,6 @@ void sample_governed_window(const CsrGraph &graph, const ImmOptions &options,
 
 } // namespace
 
-ImmResult imm_sequential(const CsrGraph &graph, const ImmOptions &options) {
-  ImmResult result;
-  StopWatch total;
-  trace::Span driver_span("imm", "imm_sequential", "k", options.k);
-  detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
-                              detail::oom_faults_from_plan(options.fault_plan));
-  RRRCollection collection;
-  std::optional<detail::RRRStore> store =
-      make_governed_store(options, budget, "imm_sequential.rrr");
-
-  auto extend_to = [&](std::uint64_t target) {
-    if (store) {
-      store->extend_window(store->size(), target,
-                           [&](RRRCollection &scratch, std::uint64_t first,
-                               std::uint64_t count) {
-                             sample_governed_window(graph, options, 1, scratch,
-                                                    first, count);
-                           });
-      result.rrr_peak_bytes =
-          std::max(result.rrr_peak_bytes, store->footprint_bytes());
-      result.total_associations =
-          std::max(result.total_associations, store->total_associations());
-      return;
-    }
-    sample_sequential(graph, options.model, target, options.seed, collection);
-    result.rrr_peak_bytes =
-        std::max(result.rrr_peak_bytes, collection.footprint_bytes());
-    result.total_associations =
-        std::max(result.total_associations, collection.total_associations());
-  };
-  auto select = [&] {
-    if (store) return store->select(graph.num_vertices(), options.k, 1);
-    return select_seeds(graph.num_vertices(), options.k, collection.sets());
-  };
-
-  detail::RoundLedger ledger;
-  detail::RoundAccounting acct{&ledger, 0, [&] {
-    if (store)
-      return std::pair<std::uint64_t, std::uint64_t>(store->size(),
-                                                     store->footprint_bytes());
-    return std::pair<std::uint64_t, std::uint64_t>(collection.sets().size(),
-                                                   collection.footprint_bytes());
-  }};
-  auto outcome = detail::run_imm_martingale(
-      graph.num_vertices(), options.k, options.epsilon, options.l, extend_to,
-      select, result.timers, acct);
-  finalize_result(result, outcome);
-  result.report.rounds = ledger.entries();
-  result.timers.add(Phase::Other,
-                    total.elapsed_seconds() - result.timers.total());
-  if (store)
-    store->record_sizes(result.report.rrr_sizes);
-  else
-    record_sample_sizes(result.report, collection.sets());
-  detail::finalize_run_report(result, "imm_sequential", graph, options, outcome);
-  return result;
-}
-
 ImmResult imm_baseline_hypergraph(const CsrGraph &graph,
                                   const ImmOptions &options) {
   ImmResult result;
@@ -267,17 +210,23 @@ ImmResult imm_baseline_hypergraph(const CsrGraph &graph,
   return result;
 }
 
-ImmResult imm_multithreaded(const CsrGraph &graph, const ImmOptions &options) {
-  RIPPLES_ASSERT(options.num_threads >= 1);
+namespace {
+
+/// The shared-memory driver: OpenMP sampling and Algorithm 4 selection at
+/// \p num_threads, over the governed store when the run needs one.
+/// imm_sequential is this body at one thread.
+ImmResult run_shared_memory(const CsrGraph &graph, const ImmOptions &options,
+                            unsigned num_threads, const char *driver) {
   ImmResult result;
   StopWatch total;
-  trace::Span driver_span("imm", "imm_multithreaded", "k", options.k,
-                          "threads", options.num_threads);
+  trace::Span driver_span("imm", driver, "k", options.k, "threads",
+                          num_threads);
   detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
                               detail::oom_faults_from_plan(options.fault_plan));
   RRRCollection collection;
+  const std::string consumer = std::string(driver) + ".rrr";
   std::optional<detail::RRRStore> store =
-      make_governed_store(options, budget, "imm_multithreaded.rrr");
+      make_governed_store(options, budget, consumer.c_str());
 
   auto extend_to = [&](std::uint64_t target) {
     if (store) {
@@ -285,8 +234,8 @@ ImmResult imm_multithreaded(const CsrGraph &graph, const ImmOptions &options) {
                            [&](RRRCollection &scratch, std::uint64_t first,
                                std::uint64_t count) {
                              sample_governed_window(graph, options,
-                                                    options.num_threads,
-                                                    scratch, first, count);
+                                                    num_threads, scratch,
+                                                    first, count);
                            });
       result.rrr_peak_bytes =
           std::max(result.rrr_peak_bytes, store->footprint_bytes());
@@ -295,7 +244,7 @@ ImmResult imm_multithreaded(const CsrGraph &graph, const ImmOptions &options) {
       return;
     }
     sample_multithreaded(graph, options.model, target, options.seed,
-                         options.num_threads, collection);
+                         num_threads, collection);
     result.rrr_peak_bytes =
         std::max(result.rrr_peak_bytes, collection.footprint_bytes());
     result.total_associations =
@@ -303,10 +252,9 @@ ImmResult imm_multithreaded(const CsrGraph &graph, const ImmOptions &options) {
   };
   auto select = [&] {
     if (store)
-      return store->select(graph.num_vertices(), options.k,
-                           options.num_threads);
+      return store->select(graph.num_vertices(), options.k, num_threads);
     return select_seeds_multithreaded(graph.num_vertices(), options.k,
-                                      collection.sets(), options.num_threads);
+                                      collection.sets(), num_threads);
   };
 
   detail::RoundLedger ledger;
@@ -328,9 +276,20 @@ ImmResult imm_multithreaded(const CsrGraph &graph, const ImmOptions &options) {
     store->record_sizes(result.report.rrr_sizes);
   else
     record_sample_sizes(result.report, collection.sets());
-  detail::finalize_run_report(result, "imm_multithreaded", graph, options,
-                              outcome);
+  detail::finalize_run_report(result, driver, graph, options, outcome);
   return result;
+}
+
+} // namespace
+
+ImmResult imm_sequential(const CsrGraph &graph, const ImmOptions &options) {
+  return run_shared_memory(graph, options, 1, "imm_sequential");
+}
+
+ImmResult imm_multithreaded(const CsrGraph &graph, const ImmOptions &options) {
+  RIPPLES_ASSERT(options.num_threads >= 1);
+  return run_shared_memory(graph, options, options.num_threads,
+                           "imm_multithreaded");
 }
 
 } // namespace ripples

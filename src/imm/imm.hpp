@@ -251,6 +251,14 @@ struct MartingaleOutcome;
 void finalize_run_report(ImmResult &result, const char *driver,
                          const CsrGraph &graph, const ImmOptions &options,
                          const MartingaleOutcome &outcome);
+
+/// True when imm_distributed steals draws across ranks: --steal inter|on
+/// with more than one rank.  Like --steal-skew, refused under a governed
+/// RRR store.
+[[nodiscard]] inline bool steals_between_ranks(const ImmOptions &options) {
+  return options.num_ranks > 1 && (options.steal == StealMode::Inter ||
+                                   options.steal == StealMode::On);
+}
 } // namespace detail
 
 } // namespace ripples

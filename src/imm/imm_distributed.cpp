@@ -40,6 +40,7 @@
 #include <mutex>
 #include <omp.h>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "imm/imm_checkpoint.hpp"
@@ -132,6 +133,15 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
   // its peers keep reserving — the heal-composition scenario.
   detail::ScopedBudget budget(options.mem_budget, options.rrr_compress,
                               detail::oom_faults_from_plan(options.fault_plan));
+  // Inter-rank stealing and skew move draws between ranks, but a governed
+  // store admits each rank's windows against that rank's own ladder, so a
+  // migrated chunk would be charged to the wrong rank: refuse up front.
+  if (budget.governed() && (detail::steals_between_ranks(options) ||
+                            options.steal_skew))
+    throw std::invalid_argument(
+        "imm_distributed: inter-rank stealing (--steal inter|on) and "
+        "--steal-skew need an ungoverned RRR store, but this run governs it "
+        "(--mem-budget, --rrr-compress always, or a kind=oom fault)");
 
   // Checkpoint/restart (DESIGN.md §9): the martingale state is replicated —
   // every rank reaches each round boundary with identical progress — so the
@@ -178,6 +188,12 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     auto local_assoc = [&] {
       return store ? store->total_associations() : local.total_associations();
     };
+    // Runs a selection kernel over this rank's samples, whichever store
+    // holds them (the governed one scrubs first from \p scrub_from up).
+    auto with_local_samples = [&](ScrubMode scrub_from, auto &&kernel) {
+      return store ? store->with_samples(scrub_from, kernel)
+                   : kernel(std::span<const RRRSet>(local.sets()));
+    };
     std::uint64_t global_count = 0;
     // The in-flight window's target: global_count only advances once a
     // window completes, so when a failure surfaces *mid-window* (the steal
@@ -199,13 +215,10 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
     std::vector<int> stream_owner(static_cast<std::size_t>(p));
     for (int s = 0; s < p; ++s) stream_owner[static_cast<std::size_t>(s)] = s;
 
-    // Work-stealing placement (DESIGN.md §13).  Inter stealing and skew
-    // require the ungoverned path: budget admission windows are rank-local,
-    // so a migrated chunk would be charged to the wrong rank's ladder.
-    const bool steal_inter =
-        !store && p > 1 &&
-        (options.steal == StealMode::Inter || options.steal == StealMode::On);
-    const bool skew = options.steal_skew && !store;
+    // Work-stealing placement (DESIGN.md §13); refused above under a
+    // governed store.
+    const bool steal_inter = detail::steals_between_ranks(options);
+    const bool skew = options.steal_skew;
     // With inter stealing or a skewed partition the stream -> rank map no
     // longer says where samples live, so each rank records the global draw
     // ranges it actually executed; healing then gathers the survivors'
@@ -347,10 +360,9 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       std::fill(local_counts.begin(), local_counts.end(), 0);
       {
         trace::Span count_span("select", "select.count_memberships");
-        if (store)
-          store->count_into(local_counts);
-        else
-          count_memberships(local.sets(), local_counts);
+        with_local_samples(ScrubMode::On, [&](const auto &samples) {
+          count_memberships(samples, local_counts);
+        });
       }
 
       std::vector<std::uint8_t> retired(local_size(), 0);
@@ -360,11 +372,10 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
       // restart re-enters select() and rebuilds it from the (intact) local
       // counters, so a failure inside any sparse collective recovers to the
       // same place a dense run would.  `global_counts` doubles as the
-      // stage-3 cache of the true global vector; `pending_*` accumulate the
+      // stage-3 cache of the true global vector; `decrements` accumulates the
       // retirement decrements not yet folded into it.
       bool cache_valid = false;
-      std::vector<std::uint32_t> pending_dec(sparse ? n : 0, 0);
-      std::vector<vertex_t> pending_touched;
+      DecrementLog decrements{std::vector<std::uint32_t>(sparse ? n : 0), {}};
 
       // Stage 3: brings the cached global counter vector current — a full
       // allreduce the first time, afterwards an allgatherv of only the
@@ -380,8 +391,9 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
           cache_valid = true;
         } else {
           std::vector<CounterPair> deltas;
-          deltas.reserve(pending_touched.size());
-          for (vertex_t v : pending_touched) deltas.push_back({v, pending_dec[v]});
+          deltas.reserve(decrements.touched.size());
+          for (vertex_t v : decrements.touched)
+            deltas.push_back({v, decrements.pending[v]});
           detail::record_exchange_words(2 * deltas.size());
           const std::vector<CounterPair> all =
               comm.allgatherv(std::span<const CounterPair>(deltas));
@@ -390,8 +402,8 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
             global_counts[d.vertex] -= d.count;
           }
         }
-        for (vertex_t v : pending_touched) pending_dec[v] = 0;
-        pending_touched.clear();
+        for (vertex_t v : decrements.touched) decrements.pending[v] = 0;
+        decrements.touched.clear();
       };
 
       // One sparse round: escalate through the three stages until one
@@ -472,18 +484,12 @@ ImmResult imm_distributed(const CsrGraph &graph, const ImmOptions &options) {
         // mode additionally logs the decrements so stage 3 can delta-sync.
         selected[seed] = 1;
         selection.seeds.push_back(seed);
-        if (store)
-          local_covered +=
-              sparse ? store->retire(seed, local_counts, retired, pending_dec,
-                                     pending_touched)
-                     : store->retire(seed, local_counts, retired);
-        else
-          local_covered +=
-              sparse ? retire_samples_containing(seed, local.sets(),
-                                                 local_counts, retired,
-                                                 pending_dec, pending_touched)
-                     : retire_samples_containing(seed, local.sets(),
-                                                 local_counts, retired);
+        local_covered +=
+            with_local_samples(ScrubMode::Paranoid, [&](const auto &samples) {
+              return retire_samples_containing(seed, samples, local_counts,
+                                               retired,
+                                               sparse ? &decrements : nullptr);
+            });
       }
 
       std::uint64_t totals[2] = {local_covered, local_size()};

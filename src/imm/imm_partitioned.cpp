@@ -211,8 +211,7 @@ ImmResult imm_distributed_partitioned(const CsrGraph &graph,
       // Count memberships over the owned slices (only indices in [vl, vh)
       // are ever touched).
       std::fill(local_counts.begin(), local_counts.end(), 0);
-      for (const auto &slice : slices)
-        for (vertex_t v : slice) ++local_counts[v];
+      count_memberships(slices, local_counts);
 
       std::vector<std::uint8_t> retired(slices.size(), 0);
       std::vector<std::uint8_t> selected(n, 0);

@@ -1,5 +1,6 @@
 #include "imm/rrr_collection.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -16,16 +17,6 @@ namespace {
   return checkpoint::crc32(
       {static_cast<const std::uint8_t *>(data), bytes}, seed);
 }
-
-[[noreturn]] void throw_truncated_block() {
-  throw std::runtime_error(
-      "CompressedRRRCollection: varint overruns the encoded payload or "
-      "exceeds 64 bits (truncated or corrupt block)");
-}
-
-} // namespace
-
-namespace {
 
 /// Shared growth screen: the collections are grown from theta-derived
 /// totals, so a corrupted or absurd request must surface as a catchable
@@ -144,14 +135,6 @@ std::size_t RRRCollection::total_associations() const {
 
 // --- CompressedRRRCollection ------------------------------------------------
 
-void CompressedRRRCollection::put_varint(std::uint64_t value) {
-  while (value >= 0x80) {
-    payload_.push_back(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  payload_.push_back(static_cast<std::uint8_t>(value));
-}
-
 void CompressedRRRCollection::encode_record(std::vector<std::uint8_t> &out,
                                             std::span<const vertex_t> members) {
   auto put = [&out](std::uint64_t value) {
@@ -161,7 +144,6 @@ void CompressedRRRCollection::encode_record(std::vector<std::uint8_t> &out,
     }
     out.push_back(static_cast<std::uint8_t>(value));
   };
-  put(members.size());
   vertex_t previous = 0;
   for (std::size_t i = 0; i < members.size(); ++i) {
     RIPPLES_DEBUG_ASSERT(i == 0 || members[i] > previous);
@@ -172,28 +154,37 @@ void CompressedRRRCollection::encode_record(std::vector<std::uint8_t> &out,
 }
 
 void CompressedRRRCollection::append(std::span<const vertex_t> members) {
-  // Worst case: 5 bytes per uint32 varint, plus the count header.
+  // Worst case: 5 bytes per uint32 varint.
   check_growth("CompressedRRRCollection payload", payload_.size(),
-               10 + 5 * members.size(), payload_.max_size());
+               5 * members.size(), payload_.max_size());
+  reserve_sets(1);
   if (num_sets_ % kBlockSize == 0) {
     if (checksums_ && num_sets_ != 0) block_crcs_.push_back(tail_crc_);
     tail_crc_ = 0;
     block_offsets_.push_back(payload_.size());
   }
   const std::size_t start = payload_.size();
-  put_varint(members.size());
-  vertex_t previous = 0;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    RIPPLES_DEBUG_ASSERT(i == 0 || members[i] > previous);
-    put_varint(i == 0 ? static_cast<std::uint64_t>(members[i])
-                      : static_cast<std::uint64_t>(members[i]) - previous);
-    previous = members[i];
-  }
+  check_growth("CompressedRRRCollection block", 0,
+               start - block_offsets_.back(),
+               std::numeric_limits<std::uint32_t>::max());
+  set_offsets_.push_back(
+      static_cast<std::uint32_t>(start - block_offsets_.back()));
+  encode_record(payload_, members);
   if (checksums_)
     tail_crc_ =
         crc_bytes(payload_.data() + start, payload_.size() - start, tail_crc_);
   ++num_sets_;
   total_associations_ += members.size();
+}
+
+void CompressedRRRCollection::reserve_sets(std::size_t count) {
+  // Budgets charge the index's capacity, so it grows by an eighth instead
+  // of doubling, which would add up to 4 more bytes per set.  (The payload
+  // keeps the vector's doubling: copying it more often leaves freed buffers
+  // resident and raises peak RSS.)
+  if (set_offsets_.capacity() - set_offsets_.size() < count)
+    set_offsets_.reserve(set_offsets_.size() +
+                         std::max(set_offsets_.size() / 8, count));
 }
 
 void CompressedRRRCollection::enable_checksums() {
@@ -257,53 +248,28 @@ void CompressedRRRCollection::flip_payload_bit(std::size_t bit) {
   payload_[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
 }
 
-std::uint64_t CompressedRRRCollection::Cursor::read_varint() {
-  std::uint64_t value = 0;
-  unsigned shift = 0;
-  for (;;) {
-    // Bounds are enforced in release builds too: a truncated or corrupt
-    // block must surface as a diagnosed throw, never as a read past the
-    // arena (the shift guard catches in-bounds bytes whose continuation
-    // bits never terminate).
-    if (p_ == end_) throw_truncated_block();
-    const std::uint8_t byte = *p_++;
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
-    if (shift >= 64) throw_truncated_block();
-  }
+void CompressedRRRCollection::throw_corrupt_record() {
+  throw std::runtime_error(
+      "CompressedRRRCollection: varint overruns its record or exceeds 64 "
+      "bits (truncated or corrupt block)");
 }
 
-std::uint32_t CompressedRRRCollection::Cursor::next_header() {
-  return static_cast<std::uint32_t>(read_varint());
-}
-
-void CompressedRRRCollection::Cursor::decode_members(
-    std::uint32_t count, std::vector<vertex_t> &out) {
-  out.clear();
-  std::uint64_t value = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    value += read_varint();
-    out.push_back(static_cast<vertex_t>(value));
-  }
-}
-
-void CompressedRRRCollection::Cursor::skip_members(std::uint32_t count) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    while (p_ != end_ && (*p_ & 0x80) != 0) ++p_;
-    if (p_ == end_) throw_truncated_block();
-    ++p_;
-  }
+std::size_t CompressedRRRCollection::set_size(std::size_t j) const {
+  RIPPLES_DEBUG_ASSERT(j < num_sets_);
+  // Each varint ends at the one byte without a continuation bit.
+  return static_cast<std::size_t>(
+      std::count_if(payload_.data() + record_begin(j),
+                    payload_.data() + record_end(j),
+                    [](std::uint8_t byte) { return (byte & 0x80) == 0; }));
 }
 
 void CompressedRRRCollection::decode_set(std::size_t j,
                                          std::vector<vertex_t> &out) const {
-  RIPPLES_DEBUG_ASSERT(j < num_sets_);
-  Cursor cursor(*this);
-  cursor.p_ = payload_.data() + block_offsets_[j / kBlockSize];
-  for (std::size_t skip = j % kBlockSize; skip > 0; --skip)
-    cursor.skip_members(cursor.next_header());
-  cursor.decode_members(cursor.next_header(), out);
+  out.clear();
+  scan_set(j, [&out](vertex_t v) {
+    out.push_back(v);
+    return true;
+  });
 }
 
 void HypergraphCollection::add(RRRSet &&set) {

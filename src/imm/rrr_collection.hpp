@@ -141,19 +141,19 @@ private:
 };
 
 /// Delta+varint compressed arena (DESIGN.md §12): each sample is one record
-/// `[varint member_count][varint first][varint deltas...]` — members are
-/// sorted and unique, so consecutive differences are small positive integers
-/// that LEB128 encodes in 1-2 bytes on the paper's graphs (HBMax, arXiv
-/// 2208.00613, and Wang et al., arXiv 2311.07554, report 3-10x on exactly
-/// this structure).  Selection decodes on iterate: the greedy kernels only
-/// ever scan the collection front to back, so the index stores one byte
-/// offset per kBlockSize sets (amortized ~0 bytes/set) instead of one per
-/// set, and retired sets are *skipped* (continuation-bit scan, no value
-/// decode).  The budget governor switches RRR storage to this
+/// `[varint first][varint deltas...]` — members are sorted and unique, so
+/// consecutive differences are small positive integers that LEB128 encodes
+/// in 1-2 bytes on the paper's graphs (HBMax, arXiv 2208.00613, and Wang et
+/// al., arXiv 2311.07554, report 3-10x on exactly this structure).  The
+/// index holds one 64-bit byte offset per kBlockSize sets plus one 32-bit
+/// offset per set relative to its block, so any record is one seek away and
+/// ends where the next begins: selection touches only the live sets it
+/// reads, decodes each only up to the bound it needs, and a retired set
+/// costs nothing.  The budget governor switches RRR storage to this
 /// representation when the uncompressed arena would exceed the budget.
 class CompressedRRRCollection {
 public:
-  /// Sets per index block; random access decodes at most this many headers.
+  /// Sets per index block (and per scrub checksum).
   static constexpr std::size_t kBlockSize = 256;
 
   [[nodiscard]] std::size_t size() const { return num_sets_; }
@@ -163,6 +163,7 @@ public:
   [[nodiscard]] std::size_t footprint_bytes() const {
     return payload_.capacity() * sizeof(std::uint8_t) +
            block_offsets_.capacity() * sizeof(std::uint64_t) +
+           set_offsets_.capacity() * sizeof(std::uint32_t) +
            block_crcs_.capacity() * sizeof(std::uint32_t);
   }
 
@@ -171,20 +172,44 @@ public:
   /// representable, mirroring FlatRRRCollection::append.
   void append(std::span<const vertex_t> members);
 
-  /// Decodes sample \p j into \p out (cleared first).  Block-indexed: seeks
-  /// to the enclosing block, then skips at most kBlockSize - 1 records.
+  /// Makes room in the offset index for \p count more sets (at least an
+  /// eighth of the current size), so a caller appending a known window
+  /// leaves no index slack behind it.
+  void reserve_sets(std::size_t count);
+
+  /// Calls \p visit(v) for the members of sample \p j in ascending order
+  /// until it returns false.  Reads never leave the record's own bytes: a
+  /// truncated or corrupt record throws std::runtime_error (release builds
+  /// included) instead of reading past it.
+  template <class Visit> void scan_set(std::size_t j, Visit &&visit) const {
+    RIPPLES_DEBUG_ASSERT(j < num_sets_);
+    const std::uint8_t *p = payload_.data() + record_begin(j);
+    const std::uint8_t *const end = payload_.data() + record_end(j);
+    for (std::uint64_t value = 0; p != end;) {
+      value += read_varint(p, end);
+      if (!visit(static_cast<vertex_t>(value))) return;
+    }
+  }
+
+  /// Member count of sample \p j: the varints of its record, counted
+  /// without decoding.
+  [[nodiscard]] std::size_t set_size(std::size_t j) const;
+
+  /// Decodes sample \p j into \p out (cleared first).
   void decode_set(std::size_t j, std::vector<vertex_t> &out) const;
 
   /// Releases growth slack after the collection stops growing.
   void shrink_to_fit() {
     payload_.shrink_to_fit();
     block_offsets_.shrink_to_fit();
+    set_offsets_.shrink_to_fit();
     block_crcs_.shrink_to_fit();
   }
 
   void clear() {
     payload_.clear();
     block_offsets_.clear();
+    set_offsets_.clear();
     block_crcs_.clear();
     tail_crc_ = 0;
     num_sets_ = 0;
@@ -215,7 +240,8 @@ public:
   /// Repair: re-encodes block \p b from \p sets (the block's samples in
   /// set-index order, regenerated bit-identically from their RNG
   /// coordinates), overwrites the damaged bytes in place, and refreshes the
-  /// block CRC.  Throws std::runtime_error when the re-encoding does not
+  /// block CRC.  The re-encoding is byte-identical, so the offset index
+  /// stays valid.  Throws std::runtime_error when the re-encoding does not
   /// match the block's byte length — regeneration was not bit-identical, so
   /// the damage is not repairable and must escalate.
   void repair_block(std::size_t b, std::span<const RRRSet> sets);
@@ -225,36 +251,27 @@ public:
   /// CRC describing the clean bytes.
   void flip_payload_bit(std::size_t bit);
 
-  /// Sequential decode-on-iterate reader, the access pattern of every
-  /// selection kernel.  next_header() positions at a record's members and
-  /// returns its member count; the caller then either decode_members() or
-  /// skip_members() (retired sets cost a continuation-bit scan only).
-  class Cursor {
-  public:
-    explicit Cursor(const CompressedRRRCollection &collection)
-        : p_(collection.payload_.data()),
-          end_(collection.payload_.data() + collection.payload_.size()) {}
-
-    [[nodiscard]] bool at_end() const { return p_ == end_; }
-    [[nodiscard]] std::uint32_t next_header();
-    /// Decodes the current record's \p count members into \p out (cleared
-    /// first; members come out sorted, exactly as encoded).
-    void decode_members(std::uint32_t count, std::vector<vertex_t> &out);
-    /// Skips the current record's \p count member varints without decoding.
-    void skip_members(std::uint32_t count);
-
-  private:
-    friend class CompressedRRRCollection;
-    [[nodiscard]] std::uint64_t read_varint();
-    const std::uint8_t *p_;
-    const std::uint8_t *end_;
-  };
-
-  [[nodiscard]] Cursor cursor() const { return Cursor(*this); }
-
 private:
-  void put_varint(std::uint64_t value);
-  /// Encodes one record (count header + delta varints) into \p out —
+  /// Byte range [record_begin(j), record_end(j)) of sample \p j's record.
+  [[nodiscard]] std::size_t record_begin(std::size_t j) const {
+    return block_offsets_[j / kBlockSize] + set_offsets_[j];
+  }
+  [[nodiscard]] std::size_t record_end(std::size_t j) const {
+    return j + 1 < num_sets_ ? record_begin(j + 1) : payload_.size();
+  }
+  /// Reads one LEB128 varint at \p p, bounded by \p end.
+  static std::uint64_t read_varint(const std::uint8_t *&p,
+                                   const std::uint8_t *end) {
+    std::uint64_t value = 0;
+    for (unsigned shift = 0; p != end && shift < 64; shift += 7) {
+      const std::uint8_t byte = *p++;
+      value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) return value;
+    }
+    throw_corrupt_record();
+  }
+  [[noreturn]] static void throw_corrupt_record();
+  /// Encodes one record (the delta varints) into \p out —
   /// shared by append and repair_block so a repaired block is byte-for-byte
   /// what append would have produced.
   static void encode_record(std::vector<std::uint8_t> &out,
@@ -272,6 +289,7 @@ private:
 
   std::vector<std::uint8_t> payload_;
   std::vector<std::uint64_t> block_offsets_; // byte offset of set kBlockSize*i
+  std::vector<std::uint32_t> set_offsets_;   // per set, from its block's base
   std::vector<std::uint32_t> block_crcs_;    // finalized (closed) blocks
   std::uint32_t tail_crc_ = 0;               // running CRC of the open block
   std::size_t num_sets_ = 0;

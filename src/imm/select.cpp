@@ -1,7 +1,7 @@
 #include "imm/select.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <exception>
 #include <omp.h>
 
 #include "support/assert.hpp"
@@ -13,127 +13,105 @@ namespace ripples {
 
 namespace {
 
-/// True if the sorted sample contains \p v.
-bool sample_contains(const RRRSet &sample, vertex_t v) {
-  return std::binary_search(sample.begin(), sample.end(), v);
+// --- sample sources ---------------------------------------------------------
+// Besides size(), the kernels read a source through two operations: does
+// sample j contain v, and visit the members of sample j inside [vl, vh).
+// Sorted sources hold each sample as one ascending vertex list, searched
+// directly; the compressed arena decodes the sample only up to the bound.
+
+template <class Sets>
+std::span<const vertex_t> sorted_members(const Sets &samples, std::size_t j) {
+  return samples[j];
+}
+
+std::span<const vertex_t> sorted_members(const FlatRRRCollection &samples,
+                                         std::size_t j) {
+  return samples.sample(j);
+}
+
+template <class Source>
+bool contains(const Source &samples, std::size_t j, vertex_t v) {
+  const std::span<const vertex_t> members = sorted_members(samples, j);
+  return std::binary_search(members.begin(), members.end(), v);
+}
+
+bool contains(const CompressedRRRCollection &samples, std::size_t j,
+              vertex_t v) {
+  bool found = false;
+  samples.scan_set(j, [&](vertex_t u) {
+    found = u == v;
+    return u < v;
+  });
+  return found;
+}
+
+template <class Source, class Visit>
+void for_members_in(const Source &samples, std::size_t j, vertex_t vl,
+                    vertex_t vh, Visit &&visit) {
+  const std::span<const vertex_t> members = sorted_members(samples, j);
+  auto it = std::lower_bound(members.begin(), members.end(), vl);
+  for (; it != members.end() && *it < vh; ++it) visit(*it);
+}
+
+template <class Visit>
+void for_members_in(const CompressedRRRCollection &samples, std::size_t j,
+                    vertex_t vl, vertex_t vh, Visit &&visit) {
+  samples.scan_set(j, [&](vertex_t u) {
+    if (u >= vh) return false;
+    if (u >= vl) visit(u);
+    return true;
+  });
+}
+
+// --- the kernel's two passes, over one vertex interval [vl, vh) -------------
+
+/// Counting: every sample's members inside the interval.
+template <class Source>
+void count_interval(const Source &samples, vertex_t vl, vertex_t vh,
+                    std::span<std::uint32_t> counters) {
+  for (std::size_t j = 0; j < samples.size(); ++j)
+    for_members_in(samples, j, vl, vh, [&](vertex_t u) { ++counters[u]; });
+}
+
+/// Decrementing, with retirement fused in: for every live sample containing
+/// \p seed, calls \p hit(j), then decrements (and logs, when \p log is set)
+/// the sample's members inside the interval.
+template <class Source, class Hit>
+void decrement_interval(const Source &samples, vertex_t seed, vertex_t vl,
+                        vertex_t vh, std::span<std::uint32_t> counters,
+                        std::span<const std::uint8_t> retired,
+                        DecrementLog *log, Hit &&hit) {
+  for (std::size_t j = 0; j < samples.size(); ++j) {
+    if (retired[j] || !contains(samples, j, seed)) continue;
+    hit(j);
+    for_members_in(samples, j, vl, vh, [&](vertex_t u) {
+      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
+      --counters[u];
+      if (log != nullptr && log->pending[u]++ == 0) log->touched.push_back(u);
+    });
+  }
 }
 
 } // namespace
 
-void count_memberships(std::span<const RRRSet> samples,
+template <SampleSource Source>
+void count_memberships(const Source &samples,
                        std::span<std::uint32_t> counters) {
-  for (const RRRSet &sample : samples)
-    for (vertex_t v : sample) {
-      RIPPLES_DEBUG_ASSERT(v < counters.size());
-      ++counters[v];
-    }
+  // The sequential callers own the whole vertex range.
+  count_interval(samples, 0, static_cast<vertex_t>(counters.size()), counters);
 }
 
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        std::span<const RRRSet> samples,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired) {
-  std::uint64_t retired_count = 0;
-  for (std::size_t j = 0; j < samples.size(); ++j) {
-    if (retired[j]) continue;
-    if (!sample_contains(samples[j], seed)) continue;
-    retired[j] = 1;
-    ++retired_count;
-    for (vertex_t u : samples[j]) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-    }
-  }
-  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
-  return retired_count;
-}
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        std::span<const RRRSet> samples,
+template <SampleSource Source>
+std::uint64_t retire_samples_containing(vertex_t seed, const Source &samples,
                                         std::span<std::uint32_t> counters,
                                         std::vector<std::uint8_t> &retired,
-                                        std::span<std::uint32_t> pending_dec,
-                                        std::vector<vertex_t> &pending_touched) {
+                                        DecrementLog *log) {
   std::uint64_t retired_count = 0;
-  for (std::size_t j = 0; j < samples.size(); ++j) {
-    if (retired[j]) continue;
-    if (!sample_contains(samples[j], seed)) continue;
-    retired[j] = 1;
-    ++retired_count;
-    for (vertex_t u : samples[j]) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-      if (pending_dec[u]++ == 0) pending_touched.push_back(u);
-    }
-  }
-  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
-  return retired_count;
-}
-
-void count_memberships(const CompressedRRRCollection &collection,
-                       std::span<std::uint32_t> counters) {
-  auto cursor = collection.cursor();
-  std::vector<vertex_t> members;
-  for (std::size_t j = 0; j < collection.size(); ++j) {
-    cursor.decode_members(cursor.next_header(), members);
-    for (vertex_t v : members) {
-      RIPPLES_DEBUG_ASSERT(v < counters.size());
-      ++counters[v];
-    }
-  }
-}
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const CompressedRRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired) {
-  std::uint64_t retired_count = 0;
-  auto cursor = collection.cursor();
-  std::vector<vertex_t> members;
-  for (std::size_t j = 0; j < collection.size(); ++j) {
-    const std::uint32_t count = cursor.next_header();
-    if (retired[j]) {
-      cursor.skip_members(count);
-      continue;
-    }
-    cursor.decode_members(count, members);
-    if (!std::binary_search(members.begin(), members.end(), seed)) continue;
-    retired[j] = 1;
-    ++retired_count;
-    for (vertex_t u : members) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-    }
-  }
-  RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
-  return retired_count;
-}
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const CompressedRRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        std::span<std::uint32_t> pending_dec,
-                                        std::vector<vertex_t> &pending_touched) {
-  std::uint64_t retired_count = 0;
-  auto cursor = collection.cursor();
-  std::vector<vertex_t> members;
-  for (std::size_t j = 0; j < collection.size(); ++j) {
-    const std::uint32_t count = cursor.next_header();
-    if (retired[j]) {
-      cursor.skip_members(count);
-      continue;
-    }
-    cursor.decode_members(count, members);
-    if (!std::binary_search(members.begin(), members.end(), seed)) continue;
-    retired[j] = 1;
-    ++retired_count;
-    for (vertex_t u : members) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-      if (pending_dec[u]++ == 0) pending_touched.push_back(u);
-    }
-  }
+  decrement_interval(samples, seed, 0, static_cast<vertex_t>(counters.size()),
+                     counters, retired, log, [&](std::size_t j) {
+                       retired[j] = 1;
+                       ++retired_count;
+                     });
   RIPPLES_DEBUG_ASSERT(counters[seed] == 0);
   return retired_count;
 }
@@ -185,9 +163,10 @@ SelectionResult select_seeds(vertex_t num_vertices, std::uint32_t k,
   return result;
 }
 
+template <SampleSource Source>
 SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
                                            std::uint32_t k,
-                                           std::span<const RRRSet> samples,
+                                           const Source &samples,
                                            unsigned num_threads) {
   RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
   RIPPLES_ASSERT(num_threads >= 1);
@@ -210,6 +189,11 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
   };
   std::vector<Candidate> local_best(num_threads);
   vertex_t chosen = 0;
+  // An exception must not leave a parallel region, and a thread that skips
+  // a barrier hangs the others: each thread parks its first failure (a
+  // corrupt compressed record, an allocation failure) in its own slot and
+  // keeps meeting the barriers; the first one is rethrown after the join.
+  std::vector<std::exception_ptr> failures(num_threads);
 
   tsan_release(&chosen);
 #pragma omp parallel num_threads(static_cast<int>(num_threads))
@@ -217,6 +201,13 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
     tsan_acquire(&chosen);
     const auto t = static_cast<unsigned>(omp_get_thread_num());
     const auto p = static_cast<unsigned>(omp_get_num_threads());
+    auto guarded = [&](auto &&pass) {
+      try {
+        pass();
+      } catch (...) {
+        if (!failures[t]) failures[t] = std::current_exception();
+      }
+    };
     // Samples this thread retires (owner-computes: j % p == t).  Collected
     // during the decrement pass, flagged only after the barrier so other
     // threads never observe a mid-round `retired` update.
@@ -229,16 +220,12 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
         (static_cast<std::uint64_t>(num_vertices) * (t + 1)) / p);
 
     // Counting step: every thread visits all samples but touches only the
-    // counters it owns; the sorted sample lets it binary-search to vl and
-    // scan its slice in cache order (Section 3.1).
+    // counters it owns, reading each sample from vl up to vh (Section 3.1).
     {
       // Per-thread span ending before the barrier, so interval imbalance in
       // the counting pass is visible as ragged span ends.
       trace::Span count_span("select", "select.count", "thread", t);
-      for (const RRRSet &sample : samples) {
-        auto it = std::lower_bound(sample.begin(), sample.end(), vl);
-        for (; it != sample.end() && *it < vh; ++it) ++counters[*it];
-      }
+      guarded([&] { count_interval(samples, vl, vh, counters); });
     }
 #pragma omp barrier
 
@@ -276,27 +263,19 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
       // Decrement phase, with retirement fused in: for every live sample
       // containing the seed, each thread decrements the members inside its
       // own interval — no atomics (Alg. 4) — and the sample's owner
-      // (j % p == t) queues it for retirement.  This reuses the one
-      // containment search per (thread, sample); the former separate
-      // retirement sweep searched every sample a second time.  `retired` is
-      // only read during this pass; the queued flags are written after the
-      // barrier below, so all threads see a consistent view.
+      // (j % p == t) queues it for retirement.  `retired` is only read
+      // during this pass; the queued flags are written after the barrier
+      // below, so all threads see a consistent view.
       my_retired.clear();
       {
         trace::Span decrement_span("select", "select.decrement", "round", i,
                                    "thread", t);
-        for (const RRRSet &sample : samples) {
-          const std::size_t j =
-              static_cast<std::size_t>(&sample - samples.data());
-          if (retired[j]) continue;
-          if (!sample_contains(sample, chosen)) continue;
-          if (j % p == t) my_retired.push_back(j);
-          auto it = std::lower_bound(sample.begin(), sample.end(), vl);
-          for (; it != sample.end() && *it < vh; ++it) {
-            RIPPLES_DEBUG_ASSERT(counters[*it] > 0);
-            --counters[*it];
-          }
-        }
+        guarded([&] {
+          decrement_interval(samples, chosen, vl, vh, counters, retired,
+                             nullptr, [&](std::size_t j) {
+                               if (j % p == t) my_retired.push_back(j);
+                             });
+        });
       }
 #pragma omp barrier
       // Flag the queued samples (disjoint writes: ownership partitions j).
@@ -311,72 +290,24 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
     tsan_release(&chosen);
   }
   tsan_acquire(&chosen);
+  for (const std::exception_ptr &failure : failures)
+    if (failure) std::rethrow_exception(failure);
   return result;
 }
 
-SelectionResult select_seeds_flat(vertex_t num_vertices, std::uint32_t k,
-                                  const FlatRRRCollection &collection) {
-  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
-  trace::Span span("select", "select.flat", "k", k, "samples",
-                   collection.size());
-  std::vector<std::uint32_t> counters(num_vertices, 0);
-  for (std::size_t j = 0; j < collection.size(); ++j)
-    for (vertex_t v : collection.sample(j)) ++counters[v];
-
-  std::vector<std::uint8_t> retired(collection.size(), 0);
-  std::vector<std::uint8_t> selected(num_vertices, 0);
-
-  SelectionResult result;
-  result.total_samples = collection.size();
-  result.seeds.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    vertex_t seed = argmax_counter(counters, selected);
-    selected[seed] = 1;
-    result.seeds.push_back(seed);
-    for (std::size_t j = 0; j < collection.size(); ++j) {
-      if (retired[j]) continue;
-      auto sample = collection.sample(j);
-      if (!std::binary_search(sample.begin(), sample.end(), seed)) continue;
-      retired[j] = 1;
-      ++result.covered_samples;
-      for (vertex_t u : sample) {
-        RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-        --counters[u];
-      }
-    }
-  }
-  return result;
-}
-
-SelectionResult select_seeds_compressed(vertex_t num_vertices, std::uint32_t k,
-                                        const CompressedRRRCollection &collection) {
-  RIPPLES_ASSERT(k >= 1 && k <= num_vertices);
-  trace::Span span("select", "select.compressed", "k", k, "samples",
-                   collection.size());
-  std::vector<std::uint32_t> counters(num_vertices, 0);
-  {
-    trace::Span count_span("select", "select.count_memberships");
-    count_memberships(collection, counters);
-  }
-
-  std::vector<std::uint8_t> retired(collection.size(), 0);
-  std::vector<std::uint8_t> selected(num_vertices, 0);
-
-  SelectionResult result;
-  result.total_samples = collection.size();
-  result.seeds.reserve(k);
-  for (std::uint32_t i = 0; i < k; ++i) {
-    trace::Span round("select", "select.round", "round", i);
-    vertex_t seed = argmax_counter(counters, selected);
-    selected[seed] = 1;
-    result.seeds.push_back(seed);
-    std::uint64_t covered =
-        retire_samples_containing(seed, collection, counters, retired);
-    result.covered_samples += covered;
-    round.arg("covered", covered);
-  }
-  return result;
-}
+// The sources every kernel is built for (the SampleSource concept).
+#define RIPPLES_SELECT_SOURCE(Source)                                          \
+  template SelectionResult select_seeds_multithreaded(                         \
+      vertex_t, std::uint32_t, const Source &, unsigned);                      \
+  template void count_memberships(const Source &, std::span<std::uint32_t>);   \
+  template std::uint64_t retire_samples_containing(                            \
+      vertex_t, const Source &, std::span<std::uint32_t>,                      \
+      std::vector<std::uint8_t> &, DecrementLog *);
+RIPPLES_SELECT_SOURCE(std::vector<RRRSet>)
+RIPPLES_SELECT_SOURCE(std::span<const RRRSet>)
+RIPPLES_SELECT_SOURCE(FlatRRRCollection)
+RIPPLES_SELECT_SOURCE(CompressedRRRCollection)
+#undef RIPPLES_SELECT_SOURCE
 
 SelectionResult select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
                                   std::span<const RRRSet> samples) {

@@ -6,23 +6,29 @@
 /// take the argmax, then retire every sample containing it (those samples
 /// can no longer add influence) and decrement the counters of their members.
 ///
-/// Three implementations:
-///  * select_seeds            — sequential reference.
+/// One kernel, templated over the sample source (SampleSource below: the
+/// plain sets as a vector or span, the flat arena, or the compressed arena):
 ///  * select_seeds_multithreaded — Algorithm 4: each thread owns the
 ///    counters of a vertex interval [vl, vh), so counting and decrementing
-///    need no atomics; sorted samples let a thread binary-search directly to
-///    its interval inside every sample.
-///  * select_seeds_hypergraph  — the baseline's variant that exploits the
+///    need no atomics; a thread reads only the members of each sample that
+///    fall in its interval (a binary search to vl in a sorted sample, a
+///    decode up to vh in a compressed one).
+///  * count_memberships / retire_samples_containing — the same loops over
+///    the whole vertex range, the building blocks the distributed drivers
+///    wrap around their counter exchange.
+/// Alongside it, three span-only variants:
+///  * select_seeds            — the sequential reference the tests compare
+///    against.
+///  * select_seeds_lazy       — the CELF-style ablation.
+///  * select_seeds_hypergraph — the baseline's variant that exploits the
 ///    vertex -> samples index for cheaper retirement at 2x memory.
-///
-/// The distributed selection (Section 3.2) reuses the counting kernels here
-/// around an allreduce; see imm_distributed.cpp.
 ///
 /// Tie-breaking: the smallest vertex id among maxima, in every
 /// implementation — the cross-implementation determinism tests rely on it.
 #ifndef RIPPLES_IMM_SELECT_HPP
 #define RIPPLES_IMM_SELECT_HPP
 
+#include <concepts>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,6 +52,14 @@ struct SelectionResult {
   }
 };
 
+/// The sample sources the selection kernels are instantiated for
+/// (select.cpp): every one yields the same seeds, coverage and counters.
+template <class Source>
+concept SampleSource = std::same_as<Source, std::vector<RRRSet>> ||
+                       std::same_as<Source, std::span<const RRRSet>> ||
+                       std::same_as<Source, FlatRRRCollection> ||
+                       std::same_as<Source, CompressedRRRCollection>;
+
 /// Sequential greedy max-coverage over sorted samples.
 [[nodiscard]] SelectionResult select_seeds(vertex_t num_vertices,
                                            std::uint32_t k,
@@ -53,30 +67,16 @@ struct SelectionResult {
 
 /// Algorithm 4: interval-partitioned multithreaded selection.  \p
 /// num_threads <= omp_get_max_threads(); the result is identical to the
-/// sequential version for any thread count.
+/// sequential version for any thread count and any source.
+template <SampleSource Source>
 [[nodiscard]] SelectionResult
 select_seeds_multithreaded(vertex_t num_vertices, std::uint32_t k,
-                           std::span<const RRRSet> samples,
-                           unsigned num_threads);
+                           const Source &samples, unsigned num_threads);
 
 /// Baseline selection over dual-direction storage.
 [[nodiscard]] SelectionResult
 select_seeds_hypergraph(vertex_t num_vertices, std::uint32_t k,
                         const HypergraphCollection &collection);
-
-/// Selection over the arena representation: identical greedy and
-/// tie-breaking, counters and retirement walk the flat payload directly.
-[[nodiscard]] SelectionResult
-select_seeds_flat(vertex_t num_vertices, std::uint32_t k,
-                  const FlatRRRCollection &collection);
-
-/// Selection over the compressed representation (DESIGN.md §12): identical
-/// greedy and tie-breaking, decode-on-iterate — every kernel pass walks the
-/// arena front to back with a cursor, decoding live sets into a scratch
-/// buffer and skipping retired ones at continuation-bit-scan cost.
-[[nodiscard]] SelectionResult
-select_seeds_compressed(vertex_t num_vertices, std::uint32_t k,
-                        const CompressedRRRCollection &collection);
 
 /// Lazy-greedy selection (the paper's future-work item "exploitation of
 /// problem properties such as submodularity", realized CELF-style at the
@@ -91,54 +91,35 @@ select_seeds_lazy(vertex_t num_vertices, std::uint32_t k,
                   std::span<const RRRSet> samples);
 
 // ---------------------------------------------------------------------------
-// Building blocks shared with the distributed implementation.
+// Building blocks shared with the distributed implementations.
 // ---------------------------------------------------------------------------
 
-/// Fills \p counters (size n, zeroed by the caller) with the number of
-/// samples containing each vertex.
-void count_memberships(std::span<const RRRSet> samples,
+/// Adds to \p counters (size n) the number of samples containing each
+/// vertex.
+template <SampleSource Source>
+void count_memberships(const Source &samples,
                        std::span<std::uint32_t> counters);
+
+/// Decrement log of the sparse selection exchange: `pending[v]` accumulates
+/// the decrements of vertex v (a dense per-vertex vector of size n), and a
+/// vertex decremented for the first time is appended to `touched`, so a
+/// later fallback can synchronize a cached global counter vector by
+/// exchanging only the touched entries.
+struct DecrementLog {
+  std::vector<std::uint32_t> pending;
+  std::vector<vertex_t> touched;
+};
 
 /// Retires every live sample containing \p seed: marks it in \p retired
 /// (one byte per sample — byte granularity so parallel callers can write
 /// disjoint entries racelessly), decrements the counters of all its
-/// members, and returns how many samples were retired.  `counters[seed]`
-/// ends at 0.
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        std::span<const RRRSet> samples,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired);
-
-/// As above, additionally accumulating every decrement into \p pending_dec
-/// (a dense per-vertex accumulator; vertices touched for the first time are
-/// appended to \p pending_touched).  The sparse selection exchange records
-/// retirement deltas this way so a later fallback can synchronize a cached
-/// global counter vector by exchanging only the touched entries.
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        std::span<const RRRSet> samples,
+/// members (also into \p log when given), and returns how many samples
+/// were retired.  `counters[seed]` ends at 0.
+template <SampleSource Source>
+std::uint64_t retire_samples_containing(vertex_t seed, const Source &samples,
                                         std::span<std::uint32_t> counters,
                                         std::vector<std::uint8_t> &retired,
-                                        std::span<std::uint32_t> pending_dec,
-                                        std::vector<vertex_t> &pending_touched);
-
-/// Compressed counterparts of the three kernels above: same counters, same
-/// retirement semantics, decode-on-iterate access.  The distributed driver
-/// dispatches to these when its budget governor has switched the rank-local
-/// partition to the compressed representation.
-void count_memberships(const CompressedRRRCollection &collection,
-                       std::span<std::uint32_t> counters);
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const CompressedRRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired);
-
-std::uint64_t retire_samples_containing(vertex_t seed,
-                                        const CompressedRRRCollection &collection,
-                                        std::span<std::uint32_t> counters,
-                                        std::vector<std::uint8_t> &retired,
-                                        std::span<std::uint32_t> pending_dec,
-                                        std::vector<vertex_t> &pending_touched);
+                                        DecrementLog *log = nullptr);
 
 /// Smallest-id argmax over the counters, skipping already-selected vertices;
 /// if every unselected counter is zero, returns the smallest unselected id.

@@ -496,35 +496,53 @@ TEST(RRRStoreScrub, MultipleDamagedBlocksAreAllRepaired) {
   EXPECT_EQ(damaged.select(120, 8, 1).seeds, reference.seeds);
 }
 
+/// Counts \p store's samples through with_samples at \p scrub_from.
+std::vector<std::uint32_t> count_through(detail::RRRStore &store,
+                                         ScrubMode scrub_from) {
+  std::vector<std::uint32_t> counts(120, 0);
+  store.with_samples(scrub_from, [&](const auto &samples) {
+    count_memberships(samples, counts);
+  });
+  return counts;
+}
+
 TEST(RRRStoreScrub, ParanoidScrubsBeforeTheCountingKernels) {
+  // The distributed driver's per-round retirement runs its kernel at the
+  // Paranoid level; a paranoid store scrubs before it.
   detail::RRRStore clean(scrub_policy(ScrubMode::Paranoid));
   clean.extend_window(0, 1500, fill_window);
-  std::vector<std::uint32_t> expected(120, 0);
-  clean.count_into(std::span<std::uint32_t>(expected));
+  const std::vector<std::uint32_t> expected =
+      count_through(clean, ScrubMode::Paranoid);
 
   detail::RRRStore damaged(scrub_policy(ScrubMode::Paranoid));
   damaged.extend_window(0, 1500, fill_window);
   ASSERT_TRUE(damaged.flip_stored_bit(777));
-  std::vector<std::uint32_t> counted(120, 0);
-  damaged.count_into(std::span<std::uint32_t>(counted));
-  EXPECT_EQ(counted, expected);
+  EXPECT_EQ(count_through(damaged, ScrubMode::Paranoid), expected);
 }
 
 TEST(RRRStoreScrub, OnModeScrubsBeforeTheDistributedCount) {
-  // The distributed driver selects through count_into/retire, never
-  // select(); count_into must therefore carry the `on` scrub itself.
+  // The distributed driver selects through with_samples, never select();
+  // its count opens each selection at the On level and must carry the
+  // `on` scrub itself.
   detail::RRRStore clean(scrub_policy(ScrubMode::On));
   clean.extend_window(0, 1500, fill_window);
-  std::vector<std::uint32_t> expected(120, 0);
-  clean.count_into(std::span<std::uint32_t>(expected));
+  const std::vector<std::uint32_t> expected =
+      count_through(clean, ScrubMode::On);
 
   detail::RRRStore damaged(scrub_policy(ScrubMode::On));
   damaged.extend_window(0, 1500, fill_window);
   ASSERT_TRUE(damaged.flip_stored_bit(777));
-  std::vector<std::uint32_t> counted(120, 0);
-  damaged.count_into(std::span<std::uint32_t>(counted));
-  EXPECT_EQ(counted, expected);
+  EXPECT_EQ(count_through(damaged, ScrubMode::On), expected);
   EXPECT_EQ(damaged.scrub(), 0u); // already repaired by the count
+}
+
+TEST(RRRStoreScrub, OnModeLeavesPerRoundKernelsUnscrubbed) {
+  // `on` scrubs once per selection, not before every retirement round.
+  detail::RRRStore damaged(scrub_policy(ScrubMode::On));
+  damaged.extend_window(0, 1500, fill_window);
+  ASSERT_TRUE(damaged.flip_stored_bit(777));
+  damaged.with_samples(ScrubMode::Paranoid, [](const auto &) {});
+  EXPECT_EQ(damaged.scrub(), 1u);
 }
 
 TEST(RRRStoreScrub, OffModeNeverScrubs) {

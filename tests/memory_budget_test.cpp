@@ -84,39 +84,31 @@ TEST(CompressedRRR, RoundTripsEdgeCaseSets) {
   }
 }
 
-TEST(CompressedRRR, CursorDecodeAndSkipAgreeWithRandomAccess) {
+TEST(CompressedRRR, DecodeSetSeeksEveryRecordInAnyOrder) {
   const std::vector<RRRSet> sets = random_sets(700, 5);
   CompressedRRRCollection compressed;
   for (const RRRSet &set : sets) compressed.append(set);
 
-  // Walk the arena decoding every other record and skipping the rest: the
-  // skip path must land each subsequent record exactly where decode does.
-  auto cursor = compressed.cursor();
+  // Back to front, across block boundaries: every record is one seek away
+  // through the per-set offsets, with nothing decoded before it.
   std::vector<vertex_t> decoded;
-  for (std::size_t j = 0; j < sets.size(); ++j) {
-    ASSERT_FALSE(cursor.at_end());
-    const std::uint32_t count = cursor.next_header();
-    ASSERT_EQ(count, sets[j].size());
-    if (j % 2 == 0) {
-      cursor.decode_members(count, decoded);
-      EXPECT_EQ(decoded, sets[j]) << "set " << j;
-    } else {
-      cursor.skip_members(count);
-    }
+  for (std::size_t j = sets.size(); j-- > 0;) {
+    ASSERT_EQ(compressed.set_size(j), sets[j].size()) << "set " << j;
+    compressed.decode_set(j, decoded);
+    EXPECT_EQ(decoded, sets[j]) << "set " << j;
   }
-  EXPECT_TRUE(cursor.at_end());
 }
 
 TEST(CompressedRRR, TruncatedVarintIsDiagnosedNotReadPastTheArena) {
   // Regression: a flipped continuation bit on the final byte of a record
-  // used to march the cursor past the end of the payload (an out-of-bounds
+  // used to march the decoder past the end of the payload (an out-of-bounds
   // read); the decoder must bound-check every byte and throw instead.
   CompressedRRRCollection compressed;
   const RRRSet set = {5};
   compressed.append(set);
-  // Payload is [0x01 0x05] (count, first member); setting bit 7 of the last
-  // byte turns the member varint into a continuation that never terminates.
-  compressed.flip_payload_bit(15);
+  // Payload is [0x05] (the one member); setting its bit 7 turns the varint
+  // into a continuation that never terminates.
+  compressed.flip_payload_bit(7);
 
   std::vector<vertex_t> decoded;
   try {
@@ -128,17 +120,73 @@ TEST(CompressedRRR, TruncatedVarintIsDiagnosedNotReadPastTheArena) {
         << error.what();
   }
 
-  // The skip path (retired sets) takes the same guard.
-  auto cursor = compressed.cursor();
-  const std::uint32_t count = cursor.next_header();
-  ASSERT_EQ(count, 1u);
-  EXPECT_THROW(cursor.skip_members(count), std::runtime_error);
+  // The selection kernels take the same guard, and a failure on a worker
+  // thread surfaces as the same exception after the parallel region.
+  std::vector<std::uint32_t> counters(8, 0);
+  EXPECT_THROW(count_memberships(compressed, counters), std::runtime_error);
+  for (unsigned threads : {1u, 2u, 4u})
+    EXPECT_THROW((void)select_seeds_multithreaded(8, 2, compressed, threads),
+                 std::runtime_error)
+        << "threads=" << threads;
 }
 
-TEST(CompressedRRR, EmptyCollectionHasEmptyCursor) {
+TEST(CompressedRRR, CorruptRecordStaysInsideItsOwnBytes) {
+  // A runaway varint in one record must not decode its neighbour's bytes:
+  // the bound is the record's end, not the arena's.
+  CompressedRRRCollection compressed;
+  compressed.append(RRRSet{5});
+  compressed.append(RRRSet{1, 2, 3});
+  compressed.flip_payload_bit(7); // record 0 is the one byte [0x05]
+  std::vector<vertex_t> decoded;
+  EXPECT_THROW(compressed.decode_set(0, decoded), std::runtime_error);
+  compressed.decode_set(1, decoded);
+  EXPECT_EQ(decoded, (RRRSet{1, 2, 3}));
+}
+
+TEST(CompressedRRR, EmptyCollectionSelectsZeroCoverageSeeds) {
   CompressedRRRCollection compressed;
   EXPECT_EQ(compressed.size(), 0u);
-  EXPECT_TRUE(compressed.cursor().at_end());
+  const SelectionResult result =
+      select_seeds_multithreaded(5, 2, compressed, 2);
+  EXPECT_EQ(result.seeds, (std::vector<vertex_t>{0, 1}));
+  EXPECT_EQ(result.covered_samples, 0u);
+}
+
+TEST(CompressedRRR, OffsetsSurviveBlockRepair) {
+  // repair_block re-encodes byte-identically, so the per-set offsets the
+  // seeks use stay valid: every set of the repaired and of its neighbouring
+  // blocks decodes to the original, and selection agrees with the plain
+  // sets.
+  const std::vector<RRRSet> sets = random_sets(3 * 256 + 40, 17, 300);
+  CompressedRRRCollection compressed;
+  compressed.enable_checksums();
+  for (const RRRSet &set : sets) compressed.append(set);
+  compressed.shrink_to_fit();
+  const std::size_t footprint = compressed.footprint_bytes();
+  // The index costs 4 bytes per set beyond the block offsets, and budgets
+  // charge it.
+  EXPECT_GE(footprint, 4 * sets.size());
+
+  compressed.flip_payload_bit(8 * 5000 + 3);
+  const std::vector<std::size_t> corrupt = compressed.verify_blocks();
+  ASSERT_EQ(corrupt.size(), 1u);
+  const auto [first, last] = compressed.block_set_range(corrupt[0]);
+  compressed.repair_block(corrupt[0], std::vector<RRRSet>(
+                                          sets.begin() + first,
+                                          sets.begin() + last));
+  EXPECT_TRUE(compressed.verify_blocks().empty());
+  EXPECT_EQ(compressed.footprint_bytes(), footprint);
+
+  std::vector<vertex_t> decoded;
+  for (std::size_t j = 0; j < sets.size(); ++j) {
+    compressed.decode_set(j, decoded);
+    ASSERT_EQ(decoded, sets[j]) << "set " << j;
+  }
+  const SelectionResult reference = select_seeds(300, 6, sets);
+  const SelectionResult repaired =
+      select_seeds_multithreaded(300, 6, compressed, 3);
+  EXPECT_EQ(repaired.seeds, reference.seeds);
+  EXPECT_EQ(repaired.covered_samples, reference.covered_samples);
 }
 
 TEST(CompressedRRR, CompressesClusteredSetsAtLeastThreefold) {
@@ -187,7 +235,7 @@ TEST(CompressedKernels, CountAndSelectMatchPlainRepresentation) {
 
   const SelectionResult from_plain = select_seeds(kVertices, 10, plain.sets());
   const SelectionResult from_compressed =
-      select_seeds_compressed(kVertices, 10, compressed);
+      select_seeds_multithreaded(kVertices, 10, compressed, 1);
   EXPECT_EQ(from_plain.seeds, from_compressed.seeds);
   EXPECT_EQ(from_plain.covered_samples, from_compressed.covered_samples);
 }
@@ -209,35 +257,27 @@ TEST(CompressedKernels, RetireMatchesPlainIncludingPendingDeltas) {
 
   std::vector<std::uint8_t> plain_retired(sets.size(), 0);
   std::vector<std::uint8_t> compressed_retired(sets.size(), 0);
-  std::vector<std::uint32_t> plain_pending(kVertices, 0);
-  std::vector<std::uint32_t> compressed_pending(kVertices, 0);
-  std::vector<vertex_t> plain_touched, compressed_touched;
+  DecrementLog plain_log{std::vector<std::uint32_t>(kVertices), {}};
+  DecrementLog compressed_log{std::vector<std::uint32_t>(kVertices), {}};
 
-  // Retire through a few greedy rounds, alternating the plain-delta and
-  // pending-delta overloads.
+  // Retire through a few greedy rounds, alternating rounds without and with
+  // the decrement log.
   for (int round = 0; round < 4; ++round) {
     const std::vector<std::uint8_t> nothing_selected(kVertices, 0);
     const vertex_t seed = argmax_counter(plain_counts, nothing_selected);
-    std::uint64_t from_plain = 0, from_compressed = 0;
-    if (round % 2 == 0) {
-      from_plain = retire_samples_containing(seed, plain.sets(), plain_counts,
-                                             plain_retired);
-      from_compressed = retire_samples_containing(
-          seed, compressed, compressed_counts, compressed_retired);
-    } else {
-      from_plain = retire_samples_containing(seed, plain.sets(), plain_counts,
-                                             plain_retired, plain_pending,
-                                             plain_touched);
-      from_compressed = retire_samples_containing(
-          seed, compressed, compressed_counts, compressed_retired,
-          compressed_pending, compressed_touched);
-    }
+    const bool logged = round % 2 == 1;
+    const std::uint64_t from_plain = retire_samples_containing(
+        seed, plain.sets(), plain_counts, plain_retired,
+        logged ? &plain_log : nullptr);
+    const std::uint64_t from_compressed = retire_samples_containing(
+        seed, compressed, compressed_counts, compressed_retired,
+        logged ? &compressed_log : nullptr);
     EXPECT_EQ(from_plain, from_compressed) << "round " << round;
     EXPECT_EQ(plain_counts, compressed_counts) << "round " << round;
     EXPECT_EQ(plain_retired, compressed_retired) << "round " << round;
   }
-  EXPECT_EQ(plain_pending, compressed_pending);
-  EXPECT_EQ(plain_touched, compressed_touched);
+  EXPECT_EQ(plain_log.pending, compressed_log.pending);
+  EXPECT_EQ(plain_log.touched, compressed_log.touched);
 }
 
 // --- MemoryTracker: budget and sticky oom faults ------------------------------

@@ -1,11 +1,13 @@
 // Tests for SelectSeeds: greedy max-coverage correctness against brute
-// force, equivalence of the three implementations (sequential, Algorithm 4
-// multithreaded, hypergraph baseline) for all thread counts, and the
-// counter/retirement building blocks.
+// force, equivalence of the sequential reference, the Algorithm 4 kernel
+// over every sample source (plain sets, flat arena, compressed arena) at
+// every thread count, the lazy and hypergraph variants, and the
+// counter/retirement building blocks with and without the decrement log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "imm/select.hpp"
@@ -166,7 +168,7 @@ TEST_P(FlatEquivalence, FlatSelectionMatchesCompactExactly) {
   FlatRRRCollection flat;
   for (const RRRSet &sample : samples) flat.append(sample);
   SelectionResult compact = select_seeds(n, 9, samples);
-  SelectionResult arena = select_seeds_flat(n, 9, flat);
+  SelectionResult arena = select_seeds_multithreaded(n, 9, flat, 1);
   EXPECT_EQ(compact.seeds, arena.seeds);
   EXPECT_EQ(compact.covered_samples, arena.covered_samples);
   EXPECT_EQ(compact.total_samples, arena.total_samples);
@@ -231,27 +233,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HypergraphEquivalence,
 // --- cross-variant determinism ------------------------------------------------------
 
 /// Runs every selection variant on the same samples and demands bit-identical
-/// seed sequences: one greedy max-coverage definition, five implementations.
+/// seed sequences: one greedy max-coverage definition, the Algorithm 4
+/// kernel over every source at every thread count, and two more variants.
 void expect_all_variants_agree(vertex_t n, std::uint32_t k,
                                const std::vector<RRRSet> &samples) {
   SelectionResult reference = select_seeds(n, k, samples);
 
-  for (unsigned threads : {1u, 2u, 7u}) {
-    SelectionResult mt = select_seeds_multithreaded(n, k, samples, threads);
-    EXPECT_EQ(reference.seeds, mt.seeds) << "threads=" << threads;
-    EXPECT_EQ(reference.covered_samples, mt.covered_samples)
-        << "threads=" << threads;
+  FlatRRRCollection flat;
+  CompressedRRRCollection compressed;
+  for (const RRRSet &sample : samples) {
+    flat.append(sample);
+    compressed.append(sample);
   }
+  auto expect_kernel_agrees = [&](const auto &source, const char *name) {
+    for (unsigned threads : {1u, 2u, 4u, 7u}) {
+      SelectionResult mt = select_seeds_multithreaded(n, k, source, threads);
+      EXPECT_EQ(reference.seeds, mt.seeds)
+          << name << " threads=" << threads;
+      EXPECT_EQ(reference.covered_samples, mt.covered_samples)
+          << name << " threads=" << threads;
+      EXPECT_EQ(reference.total_samples, mt.total_samples)
+          << name << " threads=" << threads;
+    }
+  };
+  expect_kernel_agrees(std::span<const RRRSet>(samples), "span");
+  expect_kernel_agrees(flat, "flat");
+  expect_kernel_agrees(compressed, "compressed");
 
   SelectionResult lazy = select_seeds_lazy(n, k, samples);
   EXPECT_EQ(reference.seeds, lazy.seeds);
   EXPECT_EQ(reference.covered_samples, lazy.covered_samples);
-
-  FlatRRRCollection flat;
-  for (const RRRSet &sample : samples) flat.append(sample);
-  SelectionResult arena = select_seeds_flat(n, k, flat);
-  EXPECT_EQ(reference.seeds, arena.seeds);
-  EXPECT_EQ(reference.covered_samples, arena.covered_samples);
 
   HypergraphCollection hypergraph(n);
   for (const RRRSet &sample : samples) {
@@ -317,6 +328,64 @@ TEST(RetireSamples, SkipsAlreadyRetired) {
   std::vector<std::uint8_t> retired(1, 0);
   EXPECT_EQ(retire_samples_containing(0, samples, counters, retired), 1u);
   EXPECT_EQ(retire_samples_containing(1, samples, counters, retired), 0u);
+}
+
+TEST(RetireSamples, EverySourceAgreesWithAndWithoutTheDecrementLog) {
+  // Same counters, retirement flags and coverage from every source, and
+  // the log only records: the counters it leaves match an unlogged run,
+  // and every source logs the same decrements in the same order.
+  const vertex_t n = 90;
+  const std::vector<RRRSet> samples = random_samples(n, 300, 9, 4242);
+  FlatRRRCollection flat;
+  CompressedRRRCollection compressed;
+  for (const RRRSet &sample : samples) {
+    flat.append(sample);
+    compressed.append(sample);
+  }
+  struct Run {
+    std::vector<std::uint32_t> counters;
+    std::vector<std::uint8_t> retired;
+    std::vector<std::uint64_t> covered;
+    DecrementLog log;
+  };
+  auto run = [&](const auto &source, bool logged) {
+    Run r{std::vector<std::uint32_t>(n, 0),
+          std::vector<std::uint8_t>(samples.size(), 0),
+          {},
+          {std::vector<std::uint32_t>(n, 0), {}}};
+    count_memberships(source, r.counters);
+    for (vertex_t seed : {vertex_t{3}, vertex_t{41}, vertex_t{3}, vertex_t{77}})
+      r.covered.push_back(retire_samples_containing(
+          seed, source, r.counters, r.retired, logged ? &r.log : nullptr));
+    return r;
+  };
+  for (bool logged : {false, true}) {
+    const Run plain = run(samples, logged);
+    EXPECT_EQ(plain.covered[2], 0u) << "a seed retires its samples once";
+    for (const Run &other :
+         {run(std::span<const RRRSet>(samples), logged), run(flat, logged),
+          run(compressed, logged)}) {
+      EXPECT_EQ(other.counters, plain.counters) << "logged=" << logged;
+      EXPECT_EQ(other.retired, plain.retired) << "logged=" << logged;
+      EXPECT_EQ(other.covered, plain.covered) << "logged=" << logged;
+      EXPECT_EQ(other.log.pending, plain.log.pending) << "logged=" << logged;
+      EXPECT_EQ(other.log.touched, plain.log.touched) << "logged=" << logged;
+    }
+  }
+  const Run unlogged = run(samples, false);
+  const Run logged = run(samples, true);
+  EXPECT_EQ(logged.counters, unlogged.counters);
+  EXPECT_TRUE(unlogged.log.touched.empty());
+  ASSERT_FALSE(logged.log.touched.empty());
+  // Each logged vertex appears once in `touched`, and `pending` sums to the
+  // total decrement: the counts before minus the counts after.
+  std::vector<std::uint32_t> before(n, 0);
+  count_memberships(samples, before);
+  std::vector<vertex_t> touched = logged.log.touched;
+  std::sort(touched.begin(), touched.end());
+  EXPECT_EQ(std::adjacent_find(touched.begin(), touched.end()), touched.end());
+  for (vertex_t v = 0; v < n; ++v)
+    EXPECT_EQ(logged.log.pending[v], before[v] - logged.counters[v]) << v;
 }
 
 TEST(ArgmaxCounter, SkipsSelectedAndBreaksTiesLow) {

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -314,18 +315,34 @@ TEST(StealIdentity, InterOnlyAndIntraOnlyMatchBaseline) {
 }
 
 TEST(StealIdentity, GovernedBudgetComposesWithStealing) {
-  // A generous budget governs every admission without degrading; the
-  // governor pins inter stealing and skew off (rank-local admission), so
-  // the run must still match the ungoverned baseline byte for byte while
-  // intra chunking stays active.
+  // A generous budget governs every admission without degrading; intra
+  // chunking composes with it, so the run must still match the ungoverned
+  // baseline byte for byte.
   ImmOptions options = sweep_options();
   options.mem_budget = 256u << 20;
-  options.steal = StealMode::On;
-  options.steal_skew = true;
+  options.steal = StealMode::Intra;
   options.num_threads = 2;
   ImmResult governed = imm_distributed(sweep_graph(), options);
   EXPECT_FALSE(governed.degraded);
-  expect_same(capture(governed), no_steal_baseline(), "governed + steal on");
+  expect_same(capture(governed), no_steal_baseline(), "governed + steal intra");
+}
+
+TEST(StealIdentity, GovernedBudgetRefusesInterRankPlacement) {
+  // Admission is rank-local under a budget, so draws that move between
+  // ranks (inter stealing, skew) would be charged to the wrong ladder: the
+  // driver refuses them instead of silently dropping them.
+  ImmOptions options = sweep_options();
+  options.mem_budget = 256u << 20;
+  for (StealMode mode : {StealMode::Inter, StealMode::On}) {
+    options.steal = mode;
+    EXPECT_THROW((void)imm_distributed(sweep_graph(), options),
+                 std::invalid_argument)
+        << to_string(mode);
+  }
+  options.steal = StealMode::Off;
+  options.steal_skew = true;
+  EXPECT_THROW((void)imm_distributed(sweep_graph(), options),
+               std::invalid_argument);
 }
 
 // --- metrics + ledger regression under a forced-steal schedule --------------
