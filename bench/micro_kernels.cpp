@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <string>
 
 #include "ripples/ripples.hpp"
 
@@ -169,17 +170,25 @@ void BM_CountMemberships(benchmark::State &state) {
 }
 BENCHMARK(BM_CountMemberships)->Arg(256)->Arg(1024);
 
-/// Algorithm 4 selection of 50 seeds over 1024 IC sets, by store (0: plain
-/// sets, 1: compressed arena) and thread count.
+/// Algorithm 4 selection of 50 seeds by model (0: 1024 IC sets of
+/// thousands of vertices each; 1: 32768 LT sets of a few vertices each),
+/// store (0: plain sets, 1: compressed arena) and thread count.  The two
+/// models sit on either side of the kernel's index-or-scan rule: the plain
+/// LT rows build the vertex -> sample index (50 x 32768 sample tests would
+/// cost more than the ~0.3M associations it holds) and retire through it;
+/// the IC rows and every compressed row scan the samples each round.
 void BM_SelectSeeds(benchmark::State &state) {
-  const CsrGraph &graph = shared_graph();
+  const bool lt = state.range(0) == 1;
+  const CsrGraph &graph = lt ? shared_graph_lt() : shared_graph();
   RRRCollection collection;
-  sample_sequential(graph, DiffusionModel::IndependentCascade, 1024, 7,
-                    collection);
+  sample_sequential(graph,
+                    lt ? DiffusionModel::LinearThreshold
+                       : DiffusionModel::IndependentCascade,
+                    lt ? 32768 : 1024, 7, collection);
   CompressedRRRCollection compressed;
   for (const RRRSet &set : collection.sets()) compressed.append(set);
-  const bool use_compressed = state.range(0) == 1;
-  const auto threads = static_cast<unsigned>(state.range(1));
+  const bool use_compressed = state.range(1) == 1;
+  const auto threads = static_cast<unsigned>(state.range(2));
   for (auto _ : state) {
     SelectionResult result =
         use_compressed
@@ -189,11 +198,16 @@ void BM_SelectSeeds(benchmark::State &state) {
                                          collection.sets(), threads);
     benchmark::DoNotOptimize(result.seeds.data());
   }
-  state.SetLabel(use_compressed ? "compressed" : "plain");
+  state.counters["assoc/set"] =
+      static_cast<double>(collection.total_associations()) /
+      static_cast<double>(collection.size());
+  state.SetLabel(std::string(lt ? "lt " : "ic ") +
+                 (use_compressed ? "compressed scan"
+                                 : (lt ? "plain index" : "plain scan")));
 }
 BENCHMARK(BM_SelectSeeds)
-    ->ArgNames({"compressed", "threads"})
-    ->ArgsProduct({{0, 1}, {1, 4}})
+    ->ArgNames({"lt", "compressed", "threads"})
+    ->ArgsProduct({{0, 1}, {0, 1}, {1, 4}})
     ->UseRealTime();
 
 void BM_Allreduce(benchmark::State &state) {

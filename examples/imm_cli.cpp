@@ -44,12 +44,15 @@
 ///           [--mem-budget BYTES]          (RRR memory budget; 0 = unlimited.
 ///                                          Over-budget runs degrade:
 ///                                          compress, shed batches, certify
-///                                          a looser epsilon; also
+///                                          a looser epsilon; seq/mt/dist
+///                                          only, else refused; also
 ///                                          RIPPLES_MEM_BUDGET)
 ///           [--rrr-compress auto|always|off]
 ///                                         (delta+varint RRR encoding; auto
 ///                                          switches under budget pressure;
-///                                          also RIPPLES_RRR_COMPRESS)
+///                                          `always` on seq/mt/dist only,
+///                                          else refused; also
+///                                          RIPPLES_RRR_COMPRESS)
 ///           [--selection-exchange dense|sparse]
 ///                                         (dist/dist-part seed-selection
 ///                                          protocol; also
@@ -299,6 +302,24 @@ void refuse_idle_scrub(const ImmOptions &options, const std::string &driver) {
   }
 }
 
+/// Exits 2 when a memory budget, forced compression or a kind=oom fault is
+/// given to a driver whose RRR storage no budget governs: baseline, dist-part,
+/// tim and ris would otherwise run ungoverned without saying so
+/// (imm_distributed_partitioned refuses a budget and forced compression
+/// itself).
+void refuse_idle_budget(const ImmOptions &options, const std::string &driver) {
+  if (driver != "baseline" && driver != "dist-part" && driver != "tim" &&
+      driver != "ris")
+    return;
+  if (!governs_rrr_store(options)) return;
+  std::fprintf(stderr,
+               "--mem-budget, --rrr-compress always and kind=oom faults have "
+               "no effect with --driver %s: only seq, mt and dist keep a "
+               "governed RRR store\n",
+               driver.c_str());
+  std::exit(2);
+}
+
 /// Exits 2 when the dist driver is asked to move draws between ranks
 /// (inter-rank stealing or --steal-skew) under a governed RRR store, whose
 /// admission is rank-local (imm_distributed refuses the same combination).
@@ -418,6 +439,7 @@ int main(int argc, char **argv) {
   for (const char *name : {"json-report", "trace", "json"})
     refuse_missing_path(cli, name);
   refuse_idle_scrub(options, driver);
+  refuse_idle_budget(options, driver);
   refuse_steal_under_budget(options, driver);
 
   // Enable metrics before the run so the report captures communication

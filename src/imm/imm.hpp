@@ -137,7 +137,8 @@ struct ImmOptions {
   /// the budget governor; otherwise the drivers keep their ungoverned path.
   /// The baseline-hypergraph and partitioned drivers stay ungoverned: the
   /// former *is* Table 2's memory-hungry reference, the latter stores
-  /// per-rank sample slices whose budget story is future work.
+  /// per-rank sample slices whose budget story is future work, and throws
+  /// std::invalid_argument on a budget or rrr_compress == Always.
   std::size_t mem_budget = mem_budget_from_env();
   /// When the governor may switch to the compressed RRR representation;
   /// defaults from RIPPLES_RRR_COMPRESS (`--rrr-compress` in imm_cli).

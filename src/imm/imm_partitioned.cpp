@@ -32,6 +32,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "imm/imm_checkpoint.hpp"
@@ -61,6 +62,12 @@ Philox4x32 vertex_stream(std::uint64_t seed, std::uint64_t sample_index,
 ImmResult imm_distributed_partitioned(const CsrGraph &graph,
                                       const ImmOptions &options) {
   RIPPLES_ASSERT(options.num_ranks >= 1);
+  // No budget governs the per-rank sample slices: refuse the options that
+  // would otherwise be ignored.
+  if (options.mem_budget > 0 || options.rrr_compress == CompressMode::Always)
+    throw std::invalid_argument(
+        "imm_distributed_partitioned: no memory budget governs its RRR "
+        "storage, but --mem-budget or --rrr-compress always was given");
   // The fused IC kernel (DESIGN.md §10) does not apply: it batches
   // 64 whole *samples* per traversal pass, but here no rank ever traverses
   // a whole sample — each level of every sample is a distributed exchange,

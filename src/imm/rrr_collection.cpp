@@ -266,10 +266,8 @@ std::size_t CompressedRRRCollection::set_size(std::size_t j) const {
 void CompressedRRRCollection::decode_set(std::size_t j,
                                          std::vector<vertex_t> &out) const {
   out.clear();
-  scan_set(j, [&out](vertex_t v) {
-    out.push_back(v);
-    return true;
-  });
+  SetReader reader = read_set(j);
+  for (vertex_t v; reader.next(v);) out.push_back(v);
 }
 
 void HypergraphCollection::add(RRRSet &&set) {

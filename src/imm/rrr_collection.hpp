@@ -177,18 +177,33 @@ public:
   /// leaves no index slack behind it.
   void reserve_sets(std::size_t count);
 
-  /// Calls \p visit(v) for the members of sample \p j in ascending order
-  /// until it returns false.  Reads never leave the record's own bytes: a
-  /// truncated or corrupt record throws std::runtime_error (release builds
-  /// included) instead of reading past it.
-  template <class Visit> void scan_set(std::size_t j, Visit &&visit) const {
-    RIPPLES_DEBUG_ASSERT(j < num_sets_);
-    const std::uint8_t *p = payload_.data() + record_begin(j);
-    const std::uint8_t *const end = payload_.data() + record_end(j);
-    for (std::uint64_t value = 0; p != end;) {
-      value += read_varint(p, end);
-      if (!visit(static_cast<vertex_t>(value))) return;
+  /// Decodes the members of one sample in ascending order, one per next().
+  /// Reads never leave the record's own bytes: a truncated or corrupt
+  /// record throws std::runtime_error (release builds included) instead of
+  /// reading past it.
+  class SetReader {
+  public:
+    /// Stores the next member in \p v; false once the record is exhausted.
+    bool next(vertex_t &v) {
+      if (p_ == end_) return false;
+      value_ += read_varint(p_, end_);
+      v = static_cast<vertex_t>(value_);
+      return true;
     }
+
+  private:
+    friend class CompressedRRRCollection;
+    SetReader(const std::uint8_t *p, const std::uint8_t *end)
+        : p_(p), end_(end) {}
+    const std::uint8_t *p_;
+    const std::uint8_t *end_;
+    std::uint64_t value_ = 0;
+  };
+
+  /// A reader positioned before the first member of sample \p j.
+  [[nodiscard]] SetReader read_set(std::size_t j) const {
+    RIPPLES_DEBUG_ASSERT(j < num_sets_);
+    return {payload_.data() + record_begin(j), payload_.data() + record_end(j)};
   }
 
   /// Member count of sample \p j: the varints of its record, counted

@@ -1,10 +1,13 @@
 #include "imm/select.hpp"
 
 #include <algorithm>
+#include <concepts>
 #include <exception>
+#include <memory>
 #include <omp.h>
 
 #include "support/assert.hpp"
+#include "support/memory.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 #include "support/tsan.hpp"
@@ -14,10 +17,14 @@ namespace ripples {
 namespace {
 
 // --- sample sources ---------------------------------------------------------
-// Besides size(), the kernels read a source through two operations: does
-// sample j contain v, and visit the members of sample j inside [vl, vh).
-// Sorted sources hold each sample as one ascending vertex list, searched
-// directly; the compressed arena decodes the sample only up to the bound.
+// Besides size(), the kernels read a source through two operations: visit
+// the members of sample j inside [vl, vh), and do so only when sample j
+// contains a given seed.  Sorted sources hold each sample as one ascending
+// vertex list, searched directly; the compressed arena decodes the sample
+// only up to the bound it needs.
+
+template <class Source>
+constexpr bool kSortedSource = !std::same_as<Source, CompressedRRRCollection>;
 
 template <class Sets>
 std::span<const vertex_t> sorted_members(const Sets &samples, std::size_t j) {
@@ -27,22 +34,6 @@ std::span<const vertex_t> sorted_members(const Sets &samples, std::size_t j) {
 std::span<const vertex_t> sorted_members(const FlatRRRCollection &samples,
                                          std::size_t j) {
   return samples.sample(j);
-}
-
-template <class Source>
-bool contains(const Source &samples, std::size_t j, vertex_t v) {
-  const std::span<const vertex_t> members = sorted_members(samples, j);
-  return std::binary_search(members.begin(), members.end(), v);
-}
-
-bool contains(const CompressedRRRCollection &samples, std::size_t j,
-              vertex_t v) {
-  bool found = false;
-  samples.scan_set(j, [&](vertex_t u) {
-    found = u == v;
-    return u < v;
-  });
-  return found;
 }
 
 template <class Source, class Visit>
@@ -56,14 +47,47 @@ void for_members_in(const Source &samples, std::size_t j, vertex_t vl,
 template <class Visit>
 void for_members_in(const CompressedRRRCollection &samples, std::size_t j,
                     vertex_t vl, vertex_t vh, Visit &&visit) {
-  samples.scan_set(j, [&](vertex_t u) {
-    if (u >= vh) return false;
+  CompressedRRRCollection::SetReader reader = samples.read_set(j);
+  for (vertex_t u; reader.next(u) && u < vh;)
     if (u >= vl) visit(u);
-    return true;
-  });
 }
 
-// --- the kernel's two passes, over one vertex interval [vl, vh) -------------
+/// When sample j contains \p seed, visits its members inside [vl, vh) and
+/// returns true.  A sorted sample is binary-searched for the seed, then for
+/// vl.  A compressed one is decoded once, up to max(seed + 1, vh): its
+/// interval members below the seed wait in \p scratch until the seed is
+/// seen, the rest are visited as they are decoded, and the decode stops at
+/// the first member past an absent seed.
+template <class Source, class Visit>
+bool visit_if_contains(const Source &samples, std::size_t j, vertex_t seed,
+                       vertex_t vl, vertex_t vh, std::vector<vertex_t> &,
+                       Visit &&visit) {
+  const std::span<const vertex_t> members = sorted_members(samples, j);
+  if (!std::binary_search(members.begin(), members.end(), seed)) return false;
+  for_members_in(samples, j, vl, vh, visit);
+  return true;
+}
+
+template <class Visit>
+bool visit_if_contains(const CompressedRRRCollection &samples, std::size_t j,
+                       vertex_t seed, vertex_t vl, vertex_t vh,
+                       std::vector<vertex_t> &scratch, Visit &&visit) {
+  CompressedRRRCollection::SetReader reader = samples.read_set(j);
+  scratch.clear();
+  vertex_t u = 0;
+  bool more = false;
+  while ((more = reader.next(u)) && u < seed)
+    if (u >= vl && u < vh) scratch.push_back(u);
+  if (!more || u != seed) return false;
+  for (vertex_t w : scratch) visit(w);
+  do {
+    if (u >= vh) break;
+    if (u >= vl) visit(u);
+  } while (reader.next(u));
+  return true;
+}
+
+// --- the kernel's passes, over one vertex interval [vl, vh) -----------------
 
 /// Counting: every sample's members inside the interval.
 template <class Source>
@@ -73,23 +97,107 @@ void count_interval(const Source &samples, vertex_t vl, vertex_t vh,
     for_members_in(samples, j, vl, vh, [&](vertex_t u) { ++counters[u]; });
 }
 
-/// Decrementing, with retirement fused in: for every live sample containing
-/// \p seed, calls \p hit(j), then decrements (and logs, when \p log is set)
-/// the sample's members inside the interval.
+/// The decrement of one member of a retired sample, logged when \p log is
+/// set.
+auto decrementer(std::span<std::uint32_t> counters, DecrementLog *log) {
+  return [counters, log](vertex_t u) {
+    RIPPLES_DEBUG_ASSERT(counters[u] > 0);
+    --counters[u];
+    if (log != nullptr && log->pending[u]++ == 0) log->touched.push_back(u);
+  };
+}
+
+/// Decrementing by scan, with retirement fused in: for every live sample
+/// containing \p seed, decrements (and logs, when \p log is set) the
+/// sample's members inside the interval, then calls \p hit(j).
 template <class Source, class Hit>
 void decrement_interval(const Source &samples, vertex_t seed, vertex_t vl,
                         vertex_t vh, std::span<std::uint32_t> counters,
                         std::span<const std::uint8_t> retired,
                         DecrementLog *log, Hit &&hit) {
-  for (std::size_t j = 0; j < samples.size(); ++j) {
-    if (retired[j] || !contains(samples, j, seed)) continue;
-    hit(j);
-    for_members_in(samples, j, vl, vh, [&](vertex_t u) {
-      RIPPLES_DEBUG_ASSERT(counters[u] > 0);
-      --counters[u];
-      if (log != nullptr && log->pending[u]++ == 0) log->touched.push_back(u);
-    });
+  std::vector<vertex_t> scratch;
+  const auto decrement = decrementer(counters, log);
+  for (std::size_t j = 0; j < samples.size(); ++j)
+    if (!retired[j] &&
+        visit_if_contains(samples, j, seed, vl, vh, scratch, decrement))
+      hit(j);
+}
+
+// --- the transient vertex -> sample index (DESIGN.md §4, item 7) ------------
+
+/// The index-or-scan rule of select_seeds_multithreaded on a sorted source
+/// outside a memory budget: build the index when k scans of the samples
+/// would cost more than the index holds, and its ids and offsets fit in 32
+/// bits.
+bool index_pays(std::uint32_t k, std::uint64_t samples,
+                std::uint64_t associations) {
+  constexpr std::uint64_t kLimit = std::uint64_t{1} << 32;
+  return samples < kLimit && associations < kLimit &&
+         std::uint64_t{k} * samples > associations;
+}
+
+/// CSR over the vertices: `samples_containing(v)` lists, in ascending order,
+/// the ids of the samples containing v.  Each thread fills the rows of its
+/// own interval, so the fill needs no atomics.  Charged to the
+/// MemoryTracker as plain accounting (no reservation, no fault site) while
+/// it lives.
+class SampleIndex {
+public:
+  SampleIndex() = default;
+  SampleIndex(const SampleIndex &) = delete;
+  SampleIndex &operator=(const SampleIndex &) = delete;
+  ~SampleIndex() {
+    if (bytes_ != 0) MemoryTracker::instance().deallocate(bytes_);
   }
+
+  void allocate(vertex_t num_vertices, std::uint64_t associations) {
+    offsets_ = std::make_unique_for_overwrite<std::uint32_t[]>(
+        std::size_t{num_vertices} + 1);
+    ids_ = std::make_unique_for_overwrite<std::uint32_t[]>(associations);
+    offsets_[0] = 0;
+    bytes_ = sizeof(std::uint32_t) * (std::size_t{num_vertices} + 1 +
+                                      associations);
+    MemoryTracker::instance().allocate(bytes_);
+  }
+
+  [[nodiscard]] bool ready() const { return ids_ != nullptr; }
+  [[nodiscard]] std::size_t bytes() const { return bytes_; }
+
+  /// Fills the rows of [vl, vh), whose entries start at \p base:
+  /// prefix-sums the interval's counters into row starts, then walks the
+  /// samples in order, appending each to the rows of its members.  Every
+  /// row start ends as the next row's start, so the rows of the last vertex
+  /// before vl are another thread's to end.
+  template <class Source>
+  void fill(const Source &samples, vertex_t vl, vertex_t vh,
+            std::uint64_t base, std::span<const std::uint32_t> counters) {
+    auto start = static_cast<std::uint32_t>(base);
+    for (vertex_t v = vl; v < vh; ++v) {
+      offsets_[v + 1] = start;
+      start += counters[v];
+    }
+    for (std::size_t j = 0; j < samples.size(); ++j) {
+      const auto id = static_cast<std::uint32_t>(j);
+      for_members_in(samples, j, vl, vh,
+                     [&](vertex_t u) { ids_[offsets_[u + 1]++] = id; });
+    }
+  }
+
+  [[nodiscard]] std::span<const std::uint32_t>
+  samples_containing(vertex_t v) const {
+    return {ids_.get() + offsets_[v], ids_.get() + offsets_[v + 1]};
+  }
+
+private:
+  std::unique_ptr<std::uint32_t[]> offsets_;
+  std::unique_ptr<std::uint32_t[]> ids_;
+  std::size_t bytes_ = 0;
+};
+
+metrics::Counter &index_bytes_counter() {
+  static metrics::Counter &c =
+      metrics::Registry::instance().counter("imm.select.index_bytes");
+  return c;
 }
 
 } // namespace
@@ -188,6 +296,15 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
     vertex_t vertex;
   };
   std::vector<Candidate> local_best(num_threads);
+  // Associations inside each thread's interval, from the counting pass.
+  struct alignas(64) IntervalTotal {
+    std::uint64_t associations;
+  };
+  std::vector<IntervalTotal> interval_totals(num_threads);
+  // The index never runs under a memory budget: the budget cannot see it.
+  const bool may_index =
+      kSortedSource<Source> && MemoryTracker::instance().budget() == 0;
+  SampleIndex index;
   vertex_t chosen = 0;
   // An exception must not leave a parallel region, and a thread that skips
   // a barrier hangs the others: each thread parks its first failure (a
@@ -208,6 +325,7 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
         if (!failures[t]) failures[t] = std::current_exception();
       }
     };
+    const auto decrement = decrementer(counters, nullptr);
     // Samples this thread retires (owner-computes: j % p == t).  Collected
     // during the decrement pass, flagged only after the barrier so other
     // threads never observe a mid-round `retired` update.
@@ -226,8 +344,38 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
       // the counting pass is visible as ragged span ends.
       trace::Span count_span("select", "select.count", "thread", t);
       guarded([&] { count_interval(samples, vl, vh, counters); });
+      std::uint64_t total = 0;
+      for (vertex_t v = vl; v < vh; ++v) total += counters[v];
+      interval_totals[t].associations = total;
     }
 #pragma omp barrier
+
+    // Index or scan: decided from the shared totals, so every thread takes
+    // the same path.  The index lists, for every vertex, the samples
+    // containing it; each thread fills the rows of its own interval.
+    std::uint64_t associations = 0;
+    std::uint64_t base = 0; // index entries of the intervals before this one
+    for (unsigned u = 0; u < p; ++u) {
+      if (u == t) base = associations;
+      associations += interval_totals[u].associations;
+    }
+    const bool any_failure =
+        std::any_of(failures.begin(), failures.end(),
+                    [](const std::exception_ptr &f) { return bool(f); });
+    if (may_index && !any_failure &&
+        index_pays(k, samples.size(), associations)) {
+      // Allocated on the calling thread, which also frees it: buffers a
+      // worker allocates land in its own malloc arena, and one solve after
+      // another the process kept more of them resident.
+#pragma omp master
+      guarded([&] { index.allocate(num_vertices, associations); });
+#pragma omp barrier
+      if (index.ready()) {
+        trace::Span index_span("select", "select.index", "thread", t);
+        guarded([&] { index.fill(samples, vl, vh, base, counters); });
+      }
+#pragma omp barrier
+    }
 
     for (std::uint32_t i = 0; i < k; ++i) {
       // Parallel argmax reduction: local candidate per interval...
@@ -263,19 +411,29 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
       // Decrement phase, with retirement fused in: for every live sample
       // containing the seed, each thread decrements the members inside its
       // own interval — no atomics (Alg. 4) — and the sample's owner
-      // (j % p == t) queues it for retirement.  `retired` is only read
-      // during this pass; the queued flags are written after the barrier
-      // below, so all threads see a consistent view.
+      // (j % p == t) queues it for retirement.  The index names those
+      // samples; without it every thread tests every sample.  `retired` is
+      // only read during this pass; the queued flags are written after the
+      // barrier below, so all threads see a consistent view.
       my_retired.clear();
+      auto hit = [&](std::size_t j) {
+        if (j % p == t) my_retired.push_back(j);
+      };
       {
         trace::Span decrement_span("select", "select.decrement", "round", i,
                                    "thread", t);
-        guarded([&] {
-          decrement_interval(samples, chosen, vl, vh, counters, retired,
-                             nullptr, [&](std::size_t j) {
-                               if (j % p == t) my_retired.push_back(j);
-                             });
-        });
+        if (index.ready()) {
+          for (std::uint32_t j : index.samples_containing(chosen)) {
+            if (retired[j]) continue;
+            for_members_in(samples, j, vl, vh, decrement);
+            hit(j);
+          }
+        } else {
+          guarded([&] {
+            decrement_interval(samples, chosen, vl, vh, counters, retired,
+                               nullptr, hit);
+          });
+        }
       }
 #pragma omp barrier
       // Flag the queued samples (disjoint writes: ownership partitions j).
@@ -290,6 +448,10 @@ SelectionResult select_seeds_multithreaded(vertex_t num_vertices,
     tsan_release(&chosen);
   }
   tsan_acquire(&chosen);
+  span.arg("index", index.ready() ? 1 : 0);
+  span.arg("index_bytes", index.bytes());
+  if (index.ready() && metrics::enabled())
+    index_bytes_counter().add(index.bytes());
   for (const std::exception_ptr &failure : failures)
     if (failure) std::rethrow_exception(failure);
   return result;

@@ -12,7 +12,12 @@
 ///    counters of a vertex interval [vl, vh), so counting and decrementing
 ///    need no atomics; a thread reads only the members of each sample that
 ///    fall in its interval (a binary search to vl in a sorted sample, a
-///    decode up to vh in a compressed one).
+///    decode up to vh in a compressed one).  On a sorted source outside a
+///    memory budget, when k rounds would test more samples than there are
+///    associations, it first builds a transient vertex -> samples index
+///    (each thread the rows of its interval) and retires through it, so a
+///    round visits only the samples holding its seed; the index is freed
+///    before it returns.
 ///  * count_memberships / retire_samples_containing — the same loops over
 ///    the whole vertex range, the building blocks the distributed drivers
 ///    wrap around their counter exchange.

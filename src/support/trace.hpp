@@ -62,7 +62,7 @@ enum class EventType : std::uint8_t {
   FlowEnd,
 };
 
-inline constexpr unsigned kMaxArgs = 2;
+inline constexpr unsigned kMaxArgs = 4;
 
 /// Appends one event to the calling thread's ring buffer (creating the
 /// buffer on first use).  Out-of-line so call sites stay small.  \p id is

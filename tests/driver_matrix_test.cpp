@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "graph/generators.hpp"
@@ -209,8 +210,8 @@ INSTANTIATE_TEST_SUITE_P(
 // Forced-compression axis: under --rrr-compress always every governed
 // driver must return byte-identical seeds to its plain-representation run —
 // the compressed store changes where samples live, never which samples
-// exist or how the greedy breaks ties.  The ungoverned drivers (baseline,
-// dist-part) are swept too, pinning the flag as a strict no-op there.
+// exist or how the greedy breaks ties.  The ungoverned drivers are swept
+// too: baseline pins the flag as a strict no-op, dist-part refuses it.
 class CompressionSweep
     : public ::testing::TestWithParam<std::tuple<Driver, DiffusionModel>> {};
 
@@ -231,6 +232,10 @@ TEST_P(CompressionSweep, ForcedCompressionMatchesPlainSeeds) {
   options.rrr_compress = CompressMode::Off;
   ImmResult plain = run(driver, graph, options);
   options.rrr_compress = CompressMode::Always;
+  if (driver == Driver::DistributedPartitioned) {
+    EXPECT_THROW((void)run(driver, graph, options), std::invalid_argument);
+    return;
+  }
   ImmResult compressed = run(driver, graph, options);
 
   EXPECT_EQ(compressed.seeds, plain.seeds) << name_of(driver);

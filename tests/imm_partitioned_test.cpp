@@ -1,9 +1,11 @@
 // Tests for the graph-partitioned distributed driver (the paper's
-// future-work extension): output contract, rank-count invariance, quality
-// against the non-partitioned drivers, and behaviour on both models.
+// future-work extension): output contract, refusal of the budget options,
+// rank-count invariance, quality against the non-partitioned drivers, and
+// behaviour on both models.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "diffusion/simulate.hpp"
 #include "graph/generators.hpp"
@@ -45,6 +47,24 @@ TEST_P(PartitionedDriver, SatisfiesOutputContract) {
   EXPECT_GE(result.num_samples, result.theta);
   EXPECT_GT(result.coverage_fraction, 0.0);
   EXPECT_GT(result.rrr_peak_bytes, 0u);
+}
+
+TEST_P(PartitionedDriver, RefusesABudgetAndForcedCompression) {
+  // No budget governs the per-rank slices, so both options would be
+  // ignored; the driver refuses them up front instead.
+  CsrGraph graph = test_graph(GetParam());
+  ImmOptions options = base_options(GetParam());
+  options.num_ranks = 2;
+  options.mem_budget = 1 << 20;
+  EXPECT_THROW((void)imm_distributed_partitioned(graph, options),
+               std::invalid_argument);
+  options.mem_budget = 0;
+  options.rrr_compress = CompressMode::Always;
+  EXPECT_THROW((void)imm_distributed_partitioned(graph, options),
+               std::invalid_argument);
+  options.rrr_compress = CompressMode::Auto;
+  EXPECT_EQ(imm_distributed_partitioned(graph, options).seeds.size(),
+            options.k);
 }
 
 TEST_P(PartitionedDriver, ResultIsInvariantToRankCount) {

@@ -1,8 +1,9 @@
 // Tests for SelectSeeds: greedy max-coverage correctness against brute
 // force, equivalence of the sequential reference, the Algorithm 4 kernel
 // over every sample source (plain sets, flat arena, compressed arena) at
-// every thread count, the lazy and hypergraph variants, and the
-// counter/retirement building blocks with and without the decrement log.
+// every thread count and on both sides of its index-or-scan rule, the lazy
+// and hypergraph variants, and the counter/retirement building blocks with
+// and without the decrement log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,8 @@
 #include "imm/select.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro.hpp"
+#include "support/memory.hpp"
+#include "support/metrics.hpp"
 
 namespace ripples {
 namespace {
@@ -292,6 +295,171 @@ TEST(SelectDeterminism, AllVariantsAgreeOnZeroCoverageTail) {
   // must also match across variants.
   std::vector<RRRSet> samples = {{4}, {4}, {6}};
   expect_all_variants_agree(9, 5, samples);
+}
+
+// --- the kernel's transient vertex -> sample index -------------------------------
+
+/// Samples with the given sizes (0 allowed), members drawn from [0, used):
+/// the vertices in [used, n) are in no sample.
+std::vector<RRRSet> sized_samples(const std::vector<std::size_t> &sizes,
+                                  vertex_t used, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<RRRSet> samples(sizes.size());
+  for (std::size_t j = 0; j < sizes.size(); ++j) {
+    RRRSet &sample = samples[j];
+    while (sample.size() < sizes[j]) {
+      auto v = static_cast<vertex_t>(uniform_index(rng, used));
+      if (std::find(sample.begin(), sample.end(), v) == sample.end())
+        sample.push_back(v);
+    }
+    std::sort(sample.begin(), sample.end());
+  }
+  return samples;
+}
+
+/// Bytes of vertex -> sample index one run of \p select built, read off
+/// `imm.select.index_bytes`: 0 when the kernel scanned.
+template <class Select> std::uint64_t index_bytes_of(Select &&select) {
+  metrics::Counter &counter =
+      metrics::Registry::instance().counter("imm.select.index_bytes");
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  const std::uint64_t before = counter.value();
+  select();
+  metrics::set_enabled(was_enabled);
+  return counter.value() - before;
+}
+
+/// The index costs 4 B per vertex (plus one) and 4 B per association.
+std::uint64_t expected_index_bytes(vertex_t n,
+                                   const std::vector<RRRSet> &samples) {
+  std::uint64_t associations = 0;
+  for (const RRRSet &sample : samples) associations += sample.size();
+  return 4 * (std::uint64_t{n} + 1 + associations);
+}
+
+/// Runs the kernel over the vector, span and flat sources at 1/2/4/8
+/// threads: every run must match sequential select_seeds and take the path
+/// the rule names (\p indexed: k x samples > associations).
+void expect_both_paths_agree(vertex_t n, std::uint32_t k,
+                             const std::vector<RRRSet> &samples,
+                             bool indexed) {
+  const SelectionResult reference = select_seeds(n, k, samples);
+  FlatRRRCollection flat;
+  for (const RRRSet &sample : samples) flat.append(sample);
+  const std::uint64_t bytes = indexed ? expected_index_bytes(n, samples) : 0;
+  auto expect_source = [&](const auto &source, const char *name) {
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
+      SelectionResult mt;
+      EXPECT_EQ(index_bytes_of([&] {
+                  mt = select_seeds_multithreaded(n, k, source, threads);
+                }),
+                bytes)
+          << name << " threads=" << threads;
+      EXPECT_EQ(mt.seeds, reference.seeds) << name << " threads=" << threads;
+      EXPECT_EQ(mt.covered_samples, reference.covered_samples)
+          << name << " threads=" << threads;
+      EXPECT_EQ(mt.total_samples, reference.total_samples)
+          << name << " threads=" << threads;
+    }
+  };
+  expect_source(samples, "vector");
+  expect_source(std::span<const RRRSet>(samples), "span");
+  expect_source(flat, "flat");
+}
+
+TEST(SelectIndex, TinySamplesTakeTheIndex) {
+  // 600 samples of 0-3 members over 40 of 64 vertices, k = 12: the scan
+  // would cost 7200 sample tests against ~1000 associations.  k exceeds
+  // the useful picks, so the late rounds select zero-counter vertices.
+  std::vector<std::size_t> sizes(600);
+  for (std::size_t j = 0; j < sizes.size(); ++j) sizes[j] = j % 4;
+  expect_both_paths_agree(64, 12, sized_samples(sizes, 40, 5), true);
+  // Every vertex in one sample, most vertices in none, k near n.
+  expect_both_paths_agree(30, 25, {{0, 1, 2, 3}, {}, {2}, {}, {7}}, true);
+}
+
+TEST(SelectIndex, GiantSamplesKeepTheScan) {
+  // 40 samples of up to 150 members over 200 vertices, k = 8: 320 sample
+  // tests against ~3000 associations.
+  std::vector<std::size_t> sizes(40);
+  for (std::size_t j = 0; j < sizes.size(); ++j) sizes[j] = 30 + 3 * j;
+  expect_both_paths_agree(200, 8, sized_samples(sizes, 200, 6), false);
+}
+
+TEST(SelectIndex, TheRuleIsStrictAtKTimesSamplesEqualsAssociations) {
+  // Sizes alternate 0 and 2k, so associations == k x samples exactly: the
+  // scan costs no more than the index holds, and the kernel scans.  One
+  // association fewer tips the rule to the index.
+  const std::uint32_t k = 6;
+  std::vector<std::size_t> sizes(300);
+  for (std::size_t j = 0; j < sizes.size(); ++j) sizes[j] = j % 2 ? 2 * k : 0;
+  expect_both_paths_agree(90, k, sized_samples(sizes, 80, 7), false);
+  sizes.back() -= 1;
+  expect_both_paths_agree(90, k, sized_samples(sizes, 80, 7), true);
+}
+
+TEST(SelectIndex, RandomFixturesMatchAtEveryThreadCount) {
+  for (std::uint64_t seed : {31u, 32u, 33u}) {
+    const std::vector<RRRSet> samples = random_samples(150, 400, 6, seed);
+    // ~1400 associations: k = 10 indexes (4000 tests), k = 2 scans (800).
+    expect_both_paths_agree(150, 10, samples, true);
+    expect_both_paths_agree(150, 2, samples, false);
+  }
+}
+
+TEST(SelectIndex, CompressedSourceNeverIndexes) {
+  std::vector<std::size_t> sizes(500);
+  for (std::size_t j = 0; j < sizes.size(); ++j) sizes[j] = 1 + j % 3;
+  const std::vector<RRRSet> samples = sized_samples(sizes, 50, 8);
+  CompressedRRRCollection compressed;
+  for (const RRRSet &sample : samples) compressed.append(sample);
+  const SelectionResult reference = select_seeds(60, 10, samples);
+  for (unsigned threads : {1u, 4u}) {
+    SelectionResult mt;
+    EXPECT_EQ(index_bytes_of([&] {
+                mt = select_seeds_multithreaded(60, 10, compressed, threads);
+              }),
+              0u);
+    EXPECT_EQ(mt.seeds, reference.seeds);
+    EXPECT_EQ(mt.covered_samples, reference.covered_samples);
+  }
+}
+
+TEST(SelectIndex, AMemoryBudgetKeepsTheScan) {
+  // The budget cannot see the index, so a budgeted run scans — and returns
+  // the same seeds as the indexed run on the same input.
+  std::vector<std::size_t> sizes(800);
+  for (std::size_t j = 0; j < sizes.size(); ++j) sizes[j] = j % 5;
+  const std::vector<RRRSet> samples = sized_samples(sizes, 70, 9);
+  MemoryTracker &tracker = MemoryTracker::instance();
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    SelectionResult indexed, budgeted;
+    EXPECT_EQ(index_bytes_of([&] {
+                indexed = select_seeds_multithreaded(80, 16, samples, threads);
+              }),
+              expected_index_bytes(80, samples));
+    tracker.set_budget(std::size_t{1} << 40);
+    EXPECT_EQ(index_bytes_of([&] {
+                budgeted =
+                    select_seeds_multithreaded(80, 16, samples, threads);
+              }),
+              0u);
+    tracker.set_budget(0);
+    EXPECT_EQ(budgeted.seeds, indexed.seeds) << "threads=" << threads;
+    EXPECT_EQ(budgeted.covered_samples, indexed.covered_samples);
+  }
+}
+
+TEST(SelectIndex, TheTrackerCountsTheIndexWhileItLives) {
+  std::vector<std::size_t> sizes(400);
+  for (std::size_t j = 0; j < sizes.size(); ++j) sizes[j] = 1 + j % 3;
+  const std::vector<RRRSet> samples = sized_samples(sizes, 40, 10);
+  MemoryTracker &tracker = MemoryTracker::instance();
+  const std::size_t live = tracker.live_bytes();
+  (void)select_seeds_multithreaded(40, 8, samples, 2);
+  EXPECT_EQ(tracker.live_bytes(), live);
+  EXPECT_GE(tracker.peak_bytes(), live + expected_index_bytes(40, samples));
 }
 
 // --- building blocks ----------------------------------------------------------------

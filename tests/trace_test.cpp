@@ -169,7 +169,9 @@ TEST(Trace, PostHocArgsAttachAndOverflowingArgsAreDropped) {
     trace::Span span("trace_test", "trace_test.posthoc");
     span.arg("late", 5);
     span.arg("later", 6);
-    span.arg("overflow", 7); // third arg: beyond kMaxArgs, dropped
+    span.arg("latest", 7);
+    span.arg("last", 8);
+    span.arg("overflow", 9); // fifth arg: beyond kMaxArgs, dropped
   }
   JsonValue doc = parse_trace();
   const JsonValue *span = find_event(doc, "trace_test.posthoc");
@@ -178,6 +180,8 @@ TEST(Trace, PostHocArgsAttachAndOverflowingArgsAreDropped) {
   ASSERT_NE(args, nullptr);
   EXPECT_EQ(args->find("late")->number, 5.0);
   EXPECT_EQ(args->find("later")->number, 6.0);
+  EXPECT_EQ(args->find("latest")->number, 7.0);
+  EXPECT_EQ(args->find("last")->number, 8.0);
   EXPECT_EQ(args->find("overflow"), nullptr);
 }
 
